@@ -121,7 +121,12 @@ def rebind_plan(cached: PlanResult, vcpus: Sequence[VCpuSpec]) -> PlanResult:
 
     cores: Dict[int, CoreTable] = {}
     for cpu, table in cached.table.cores.items():
-        renamed = CoreTable(
+        if not table.slices:
+            # Built once on the cached core, then shared by every rebind.
+            table.build_slices()
+        # Renaming moves no boundary, so the slice geometry carries over
+        # (slice tables are replaced on rebuild, never mutated in place).
+        cores[cpu] = CoreTable(
             cpu=cpu,
             length_ns=table.length_ns,
             allocations=[
@@ -132,10 +137,12 @@ def rebind_plan(cached: PlanResult, vcpus: Sequence[VCpuSpec]) -> PlanResult:
                 )
                 for a in table.allocations
             ],
+            slice_len_ns=table.slice_len_ns,
+            slices=table.slices,
+            _starts=table._starts,
+            _bounds=table._bounds,
         )
-        cores[cpu] = renamed
     system = SystemTable(length_ns=cached.table.length_ns, cores=cores)
-    system.build_slices()
 
     tasks = {
         rename[name]: task.__class__(

@@ -26,6 +26,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
+from itertools import chain
 from typing import Dict, List, Tuple
 
 from repro.core.table import Allocation, CoreTable, SystemTable
@@ -89,8 +90,10 @@ def serialize(table: SystemTable) -> bytes:
                 chunks.append(
                     _ALLOC.pack(alloc.start, alloc.end, vcpu_ids[alloc.vcpu], 0)
                 )
-        for first, second in core.slices:
-            chunks.append(_SLICE.pack(first, second))
+        slices = core.slices
+        chunks.append(
+            struct.pack(f"<{2 * len(slices)}i", *chain.from_iterable(slices))
+        )
     return b"".join(chunks)
 
 
@@ -98,27 +101,40 @@ def deserialize(payload: bytes) -> SystemTable:
     """Decode a binary payload back into a :class:`SystemTable`.
 
     Raises :class:`TableFormatError` on a bad magic number, version
-    mismatch, or truncated payload — the checks the hypervisor side of
-    the hypercall performs before installing a table.
+    mismatch, zero table length, or truncated payload — the checks the
+    hypervisor side of the hypercall performs before installing a table.
+
+    The slice records are not trusted: each core's slice table is
+    derived once from its validated allocations (with the wire slice
+    length as the floor, so a floored table round-trips) and the wire
+    copy must match it exactly.  The wire geometry is checked against
+    the allocations *before* the derivation, so the derivation is never
+    larger than the payload that carried it.
     """
     view = memoryview(payload)
     offset = 0
 
-    def take(fmt: struct.Struct) -> Tuple:
+    def take_block(size: int) -> memoryview:
         nonlocal offset
-        if offset + fmt.size > len(view):
+        if offset + size > len(view):
             raise TableFormatError(
-                f"truncated table: need {fmt.size} bytes at offset {offset}"
+                f"truncated table: need {size} bytes at offset {offset}"
             )
-        values = fmt.unpack_from(view, offset)
-        offset += fmt.size
-        return values
+        block = view[offset : offset + size]
+        offset += size
+        return block
+
+    def take(fmt: struct.Struct) -> Tuple:
+        return fmt.unpack(take_block(fmt.size))
 
     magic, version, ncpus, length_ns, nvcpus, _ = take(_HEADER)
     if magic != MAGIC:
         raise TableFormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise TableFormatError(f"unsupported table version {version}")
+    if length_ns == 0:
+        # Dispatch reduces time modulo the table length.
+        raise TableFormatError("zero table length")
 
     names: List[str] = []
     for _ in range(nvcpus):
@@ -137,28 +153,44 @@ def deserialize(payload: bytes) -> SystemTable:
     cores: Dict[int, CoreTable] = {}
     for _ in range(ncpus):
         cpu, nallocs, slice_len, nslices, _ = take(_CPU_HEADER)
+        records = take_block(nallocs * _ALLOC.size)
         allocations: List[Allocation] = []
-        for _ in range(nallocs):
-            start, end, vcpu_id, flags = take(_ALLOC)
+        for start, end, vcpu_id, flags in _ALLOC.iter_unpack(records):
             if flags & FLAG_IDLE or vcpu_id < 0:
                 allocations.append(Allocation(start, end, None))
             else:
                 if vcpu_id >= len(names):
                     raise TableFormatError(f"vCPU id {vcpu_id} out of range")
                 allocations.append(Allocation(start, end, names[vcpu_id]))
-        slices = [take(_SLICE) for _ in range(nslices)]
-        core = CoreTable(
-            cpu=cpu,
-            length_ns=length_ns,
-            allocations=allocations,
-            slice_len_ns=slice_len,
-            slices=[(int(a), int(b)) for a, b in slices],
-        )
-        core._starts = [a.start for a in allocations]
+        wire = array("i")
+        wire.frombytes(take_block(nslices * _SLICE.size))
+        if sys.byteorder != "little":  # pragma: no cover - BE hosts only
+            wire.byteswap()
+        core = CoreTable(cpu=cpu, length_ns=length_ns, allocations=allocations)
         core.validate_layout()
+        _derive_slices(core, slice_len, nslices, wire)
         cores[cpu] = core
 
     return SystemTable(length_ns=length_ns, cores=cores)
+
+
+def _derive_slices(core: CoreTable, slice_len: int, nslices: int, wire: array) -> None:
+    """Build ``core``'s slice table and reject a wire copy that disagrees."""
+    shortest = core.min_allocation_ns()
+    if shortest is None:
+        fits = slice_len == core.length_ns and nslices == 1
+    else:
+        fits = slice_len >= shortest and nslices == -(-core.length_ns // slice_len)
+    if not fits:
+        raise TableFormatError(
+            f"cpu{core.cpu}: {nslices} slices of {slice_len} ns do not fit "
+            f"its allocations"
+        )
+    core.build_slices(slice_len)
+    if list(zip(wire[0::2], wire[1::2])) != core.slices:
+        raise TableFormatError(
+            f"cpu{core.cpu}: slice records disagree with its allocations"
+        )
 
 
 def serialize_arrays(table: SystemTable) -> bytes:

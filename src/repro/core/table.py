@@ -22,6 +22,10 @@ from repro.errors import ConfigurationError, PlanningError
 #: vCPU id used in serialized tables for idle intervals.
 IDLE = None
 
+#: Slice entry of a slice that overlaps more than two allocations (only
+#: possible under a slice-length floor): lookups binary-search instead.
+_CROWDED = (-2, -2)
+
 
 @dataclass(frozen=True)
 class Allocation:
@@ -132,7 +136,7 @@ class CoreTable:
     def min_allocation_ns(self) -> Optional[int]:
         if self._min_alloc_ns is not None:
             return self._min_alloc_ns
-        lengths = [a.length for a in self.allocations]
+        lengths = [a.end - a.start for a in self.allocations]
         return min(lengths) if lengths else None
 
     def build_slices(self, min_slice_len_ns: int = 1) -> None:
@@ -143,44 +147,52 @@ class CoreTable:
         safeguard for degenerate tables.  When the floor is applied the
         at-most-two-allocations invariant may no longer hold and lookups
         transparently fall back to binary search for affected slices.
+
+        One pass over the (time-ordered, non-overlapping) allocations:
+        each allocation claims the slices it covers.  Its interior slices
+        hold it alone; only its two boundary slices can be shared, and a
+        boundary slice that would need a third entry becomes the
+        ``(-2, -2)`` binary-search sentinel.
         """
         self._memo = None
+        length = self.length_ns
         shortest = self.min_allocation_ns()
         if shortest is None:
             # An always-idle core: one slice covering the whole table.
-            self.slice_len_ns = self.length_ns
+            self.slice_len_ns = length
             self.slices = [(-1, -1)]
             self._starts = []
-            self._bounds = [self.length_ns]
+            self._bounds = [length]
             return
-        self.slice_len_ns = max(shortest, min_slice_len_ns)
-        slice_count = -(-self.length_ns // self.slice_len_ns)  # ceil div
-        slices: List[Tuple[int, int]] = []
-        alloc_index = 0
-        allocations = self.allocations
-        for s in range(slice_count):
-            lo = s * self.slice_len_ns
-            hi = min(lo + self.slice_len_ns, self.length_ns)
-            # Advance past allocations that end at or before this slice.
-            while alloc_index < len(allocations) and allocations[alloc_index].end <= lo:
-                alloc_index += 1
-            overlapping: List[int] = []
-            j = alloc_index
-            while j < len(allocations) and allocations[j].start < hi:
-                overlapping.append(j)
-                j += 1
-            if len(overlapping) > 2:
-                # Only possible when the min_slice_len floor kicked in.
-                overlapping = [-2, -2]  # sentinel: binary-search fallback
-            first = overlapping[0] if overlapping else -1
-            second = overlapping[1] if len(overlapping) > 1 else -1
-            slices.append((first, second))
+        slice_len = max(shortest, min_slice_len_ns)
+        self.slice_len_ns = slice_len
+        slices: List[Tuple[int, int]] = [(-1, -1)] * -(-length // slice_len)
+        starts: List[int] = []
+        bounds: List[int] = []
+        for index, alloc in enumerate(self.allocations):
+            start = alloc.start
+            end = alloc.end
+            starts.append(start)
+            if not bounds or bounds[-1] != start:
+                bounds.append(start)
+            bounds.append(end)
+            first = start // slice_len
+            last = (end - 1) // slice_len
+            held, other = slices[first]
+            if held == -1:
+                slices[first] = (index, -1)
+            elif other == -1:
+                slices[first] = (held, index)
+            else:
+                slices[first] = _CROWDED
+            if last > first:
+                # Earlier allocations end before slice first + 1 begins.
+                slices[first + 1 : last + 1] = [(index, -1)] * (last - first)
+        if bounds[-1] != length:
+            bounds.append(length)
         self.slices = slices
-        self._starts = [a.start for a in allocations]
-        bounds = {a.start for a in allocations}
-        bounds.update(a.end for a in allocations)
-        bounds.add(self.length_ns)
-        self._bounds = sorted(bounds)
+        self._starts = starts
+        self._bounds = bounds
 
     def lookup(self, now_ns: int) -> Optional[Allocation]:
         """O(1) dispatch lookup: the allocation covering ``now_ns``, if any.
@@ -403,13 +415,16 @@ class SystemTable:
         homes: Dict[str, List[Tuple[int, int]]] = {}
         for cpu, table in sorted(self.cores.items()):
             for alloc in table.allocations:
-                if alloc.vcpu is None:
+                vcpu = alloc.vcpu
+                if vcpu is None:
                     continue
-                if alloc.vcpu not in homes:
-                    names.append(alloc.vcpu)
-                    homes[alloc.vcpu] = []
-                entries = homes[alloc.vcpu]
-                if all(c != cpu for _, c in entries):
+                entries = homes.get(vcpu)
+                if entries is None:
+                    names.append(vcpu)
+                    homes[vcpu] = [(alloc.start, cpu)]
+                elif entries[-1][1] != cpu:
+                    # Cores are walked in order, so a vCPU already homed
+                    # on this core has it as its last entry.
                     entries.append((alloc.start, cpu))
         self.vcpu_names = names
         self._vcpu_ids = {name: i for i, name in enumerate(names)}
@@ -548,10 +563,11 @@ class SystemTable:
         """Build per-core slice tables.
 
         With ``only_missing`` cores whose slice table already exists are
-        skipped — the planner uses this so memoized core tables (whose
-        slices were built when first materialized) are not rebuilt on
-        every replan.  Allocation lists are never mutated after slices
-        are built, so an existing slice table is always consistent.
+        skipped — the dispatcher installs tables this way, so a core
+        whose slices were derived by the decoder, or shared unchanged
+        from the base of a delta push, is not rebuilt.  Allocation lists
+        are never mutated after slices are built, so an existing slice
+        table is always consistent.
         """
         for table in self.cores.values():
             if only_missing and table.slices:

@@ -107,7 +107,7 @@ class TableauScheduler(Scheduler):
         if split_l2_policy not in ("none", "trailing"):
             raise ConfigurationError(f"unknown split policy {split_l2_policy!r}")
         self.table = table
-        self.table.build_slices()
+        self.table.build_slices(only_missing=True)
         self.l2_epoch_ns = l2_epoch_ns
         self.l2_slice_ns = l2_slice_ns
         self.work_conserving = work_conserving
@@ -179,9 +179,12 @@ class TableauScheduler(Scheduler):
         All cores compare the current cycle index against the activation
         cycle inside ``pick_next``, so they flip over at exactly the same
         table wrap without any locking — the simulated analogue of the
-        time-synchronized ``next_table`` pointer of Sec. 6.
+        time-synchronized ``next_table`` pointer of Sec. 6.  Only cores
+        without a slice table get one: a decoded push arrives with every
+        core's slices derived and checked, and a delta push shares its
+        unchanged cores (slices included) with the base table.
         """
-        table.build_slices()
+        table.build_slices(only_missing=True)
         self._pending_table = table
         self._pending_cycle = first_cycle
 

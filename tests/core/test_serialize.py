@@ -63,6 +63,60 @@ class TestRoundTrip:
             for cpu in system.cores:
                 assert restored.cores[cpu].lookup(t) == system.cores[cpu].lookup(t)
 
+    def test_floored_slice_table_round_trips(self):
+        # The wire slice length is the floor the receiver derives with,
+        # so a table whose slices were built under a floor decodes to the
+        # same (crowded) slice table.
+        cores = dict(sample_system().cores)
+        cores[2] = CoreTable(
+            cpu=2,
+            length_ns=10_000,
+            allocations=[
+                Allocation(0, 1_000, "vm0.vcpu0"),
+                Allocation(1_000, 2_000, "vm1.vcpu0"),
+                Allocation(2_000, 3_000, "vm2.vcpu0"),
+                Allocation(6_000, 9_000, "vm0.vcpu0"),
+            ],
+        )
+        system = SystemTable(length_ns=10_000, cores=cores)
+        system.build_slices(min_slice_len_ns=5_000)
+        assert system.cores[2].slices == [(-2, -2), (3, -1)]
+        restored = deserialize(serialize(system))
+        for cpu in system.cores:
+            assert restored.cores[cpu].slice_len_ns == 5_000
+            assert restored.cores[cpu].slices == system.cores[cpu].slices
+        assert restored.cores[2].lookup(2_500).vcpu == "vm2.vcpu0"
+
+    def test_bytes_follow_the_documented_record_layout(self):
+        # Packed record by record, as the module docstring lays it out:
+        # the bulk slice column must not move a byte.
+        system = sample_system()
+        ids = {name: i for i, name in enumerate(system.vcpu_names)}
+        expected = [
+            struct.pack("<4sHHQII", b"TBLO", 1, 2, 10_000, len(ids), 0)
+        ]
+        for name in system.vcpu_names:
+            expected.append(struct.pack("<H", len(name)) + name.encode())
+        for cpu in sorted(system.cores):
+            core = system.cores[cpu]
+            core.build_slices()
+            expected.append(
+                struct.pack(
+                    "<IIQII",
+                    cpu,
+                    len(core.allocations),
+                    core.slice_len_ns,
+                    len(core.slices),
+                    0,
+                )
+            )
+            for a in core.allocations:
+                vcpu, flags = (-1, 1) if a.vcpu is None else (ids[a.vcpu], 0)
+                expected.append(struct.pack("<QQiI8x", a.start, a.end, vcpu, flags))
+            for first, second in core.slices:
+                expected.append(struct.pack("<ii", first, second))
+        assert serialize(system) == b"".join(expected)
+
     def test_idle_allocation_round_trips(self):
         restored = deserialize(serialize(sample_system()))
         assert restored.cores[1].allocations[1].vcpu is None

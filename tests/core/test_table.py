@@ -162,6 +162,24 @@ class TestSystemTable:
         assert system.home_cores["a"] == [0, 1]
         assert system.core_of("a") == 0
 
+    def test_home_cores_one_entry_per_core(self):
+        # Several allocations per core, cores supplied out of order: each
+        # core appears once per vCPU, ordered by its first allocation.
+        system = SystemTable(
+            length_ns=10_000,
+            cores={
+                2: core_table(
+                    [(0, 1_000, "a"), (1_000, 2_000, "b"), (4_000, 5_000, "a")],
+                    cpu=2,
+                ),
+                0: core_table(
+                    [(3_000, 4_000, "a"), (5_000, 6_000, "b"), (7_000, 8_000, "a")]
+                ),
+            },
+        )
+        assert system.vcpu_names == ["a", "b"]
+        assert system.home_cores == {"a": [2, 0], "b": [2, 0]}
+
     def test_split_detection(self):
         system = self._system()
         assert system.is_split("a")

@@ -1,8 +1,13 @@
 """Tests for the table-push hypercall and lock-free table switches."""
 
+import signal
+import struct
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core import MS, Planner, make_vm, serialize
+from repro.core.serialize import deserialize
 from repro.errors import TableFormatError
 from repro.schedulers import TableauScheduler
 from repro.sim import Machine, VCpu
@@ -99,3 +104,129 @@ class TestActivationTiming:
         for _ in range(5):
             hypercall.push_system_table(plan.table)
         assert hypercall.retired_table_count <= 2
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, instead of hanging, when the block outlives ``seconds``."""
+    if not hasattr(signal, "setitimer"):  # pragma: no cover - non-POSIX
+        yield
+        return
+
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def slice_table_bomb():
+    """A 99-byte 'TBLO' payload: a 10**15 ns cycle with one 1 ns allocation.
+
+    Its allocations are structurally valid, but the slice table they
+    imply has 10**15 entries; the payload carries one slice record.
+    """
+    name = b"vm0.vcpu0"
+    return b"".join(
+        [
+            struct.pack("<4sHHQII", b"TBLO", 1, 1, 10**15, 1, 0),
+            struct.pack("<H", len(name)),
+            name,
+            struct.pack("<IIQII", 0, 1, 1, 1, 0),  # cpu 0: 1 alloc, 1 slice
+            struct.pack("<QQiI8x", 0, 1, 0, 0),
+            struct.pack("<ii", 0, -1),
+        ]
+    )
+
+
+def slice_record_offsets(table):
+    """Byte offsets of every slice record in ``serialize(table)``."""
+    offset = 24 + sum(2 + len(name.encode()) for name in table.vcpu_names)
+    offsets = []
+    for cpu in sorted(table.cores):
+        core = table.cores[cpu]
+        offset += 24 + 32 * len(core.allocations)
+        offsets.extend(range(offset, offset + 8 * len(core.slices)))
+        offset += 8 * len(core.slices)
+    return offsets
+
+
+class TestHostilePayloads:
+    def test_decoder_rejects_slice_table_bomb(self):
+        payload = slice_table_bomb()
+        assert len(payload) == 99
+        with deadline(5), pytest.raises(TableFormatError, match="slices"):
+            deserialize(payload)
+
+    def test_push_rejects_slice_table_bomb_untouched(self):
+        plan, sched, _ = build()
+        hypercall = TableHypercall(sched)
+        hypercall.push_system_table(plan.table)
+        serving = sched.table
+        staged = hypercall.staged_table
+        pushes = list(hypercall.pushes)
+        generation = hypercall.delta_generation
+        with deadline(5), pytest.raises(TableFormatError):
+            hypercall.push_table(slice_table_bomb())
+        assert sched.table is serving
+        assert sched.pending_table is staged
+        assert hypercall.staged_table is staged
+        assert hypercall.pushes == pushes
+        assert hypercall.delta_generation == generation
+        assert hypercall.retired_unactivated == 0
+
+    def test_zero_length_table_rejected(self):
+        # One idle core whose single slice spans the whole (empty) cycle:
+        # structurally consistent, but dispatch divides by the length.
+        payload = b"".join(
+            [
+                struct.pack("<4sHHQII", b"TBLO", 1, 1, 0, 0, 0),
+                struct.pack("<IIQII", 0, 0, 0, 1, 0),
+                struct.pack("<ii", -1, -1),
+            ]
+        )
+        with pytest.raises(TableFormatError, match="zero table length"):
+            deserialize(payload)
+        _, sched, _ = build()
+        hypercall = TableHypercall(sched)
+        with pytest.raises(TableFormatError):
+            hypercall.push_table(payload)
+        assert not hypercall.pushes
+
+    def test_every_flipped_slice_byte_rejected(self):
+        plan, _, _ = build(num_vms=3)
+        payload = serialize(plan.table)
+        offsets = slice_record_offsets(plan.table)
+        assert offsets and offsets[-1] == len(payload) - 1
+        for position in offsets:
+            flipped = bytearray(payload)
+            flipped[position] ^= 0xFF
+            with pytest.raises(TableFormatError, match="slice records"):
+                deserialize(bytes(flipped))
+
+    def test_push_rejects_flipped_slice_byte(self):
+        plan, sched, _ = build()
+        hypercall = TableHypercall(sched)
+        flipped = bytearray(serialize(plan.table))
+        flipped[slice_record_offsets(plan.table)[0]] ^= 0x01
+        with pytest.raises(TableFormatError):
+            hypercall.push_table(bytes(flipped))
+        assert not hypercall.pushes
+        assert hypercall.staged_table is None
+
+    def test_wire_slice_length_must_fit_allocations(self):
+        plan, _, _ = build()
+        payload = bytearray(serialize(plan.table))
+        core = plan.table.cores[0]
+        # The slice_len field of cpu 0's header, halved: more slices than
+        # the header's count, so the geometry check trips.
+        at = 24 + sum(2 + len(n.encode()) for n in plan.table.vcpu_names) + 8
+        assert struct.unpack_from("<Q", payload, at)[0] == core.slice_len_ns
+        struct.pack_into("<Q", payload, at, core.slice_len_ns // 2)
+        with pytest.raises(TableFormatError, match="do not fit"):
+            deserialize(bytes(payload))
