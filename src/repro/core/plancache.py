@@ -58,7 +58,9 @@ MAGIC = b"TPLC"
 #: regenerated rather than trusted.  v2: the columnar planner stores
 #: segment columns on each ``CoreTable`` and leaves slices lazy — v1
 #: pickles lack the column attributes and would deserialize broken.
-CACHE_VERSION = 2
+#: v3: ``CoreTable.slices`` is a flat ``array('i')``; a v2 core whose
+#: slices were built holds ``(first, second)`` tuples instead.
+CACHE_VERSION = 3
 
 _HEADER = struct.Struct("<4sHH32s")
 

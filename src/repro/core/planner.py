@@ -468,7 +468,7 @@ class Planner:
             )
 
         system, info = self._assemble(core_tables, fragments)
-        self._validate_assembled(system, info)
+        self._validate_assembled(system)
 
         task_index = {t.name: t for t in tasks}
         for vcpu in dedicated:
@@ -893,31 +893,20 @@ class Planner:
         )
         return system, info
 
-    def _validate_assembled(
-        self,
-        system: SystemTable,
-        info: Dict[str, List[Tuple[int, _CoreFragment, int]]],
-    ) -> None:
-        """No-parallel-service check, confined to multi-home vCPUs.
+    def _validate_assembled(self, system: SystemTable) -> None:
+        """No-parallel-service check (:meth:`SystemTable.parallel_service`).
 
         Per-core layout was already validated when each table was
         materialized (and memo hits share validated allocation lists),
         so the only whole-system hazard left is a vCPU with allocations
-        on several cores overlapping itself — single-home vCPUs cannot.
+        on several cores overlapping itself.
         """
-        for name, entries in info.items():
-            if len(entries) < 2:
-                continue
-            intervals: List[Tuple[int, int]] = []
-            for cpu, _fragment, _slot in entries:
-                intervals.extend(system.cores[cpu].service_intervals(name))
-            intervals.sort()
-            for (_s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
-                if s2 < e1:
-                    raise PlanningError(
-                        f"vCPU {name} scheduled on two cores during "
-                        f"[{s2}, {min(e1, e2)})"
-                    )
+        overlap = system.parallel_service()
+        if overlap is not None:
+            name, start, end = overlap
+            raise PlanningError(
+                f"vCPU {name} scheduled on two cores during [{start}, {end})"
+            )
 
     def _check_guarantees(
         self,

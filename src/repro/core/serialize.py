@@ -19,6 +19,18 @@ Allocation records are padded to 32 bytes so that two records share a
 64-byte cache line — the dispatcher touches at most two records (one
 slice entry plus up to two allocations) per decision, i.e., at most two
 cache lines, matching the paper's O(1)-dispatch design.
+
+The slice records are the dispatcher's slice table as stored:
+:attr:`~repro.core.table.CoreTable.slices` is this ``array('i')``
+column, so the encoder writes it with ``tobytes()`` and the decoder
+compares the wire copy with its own derivation in one array comparison.
+
+:func:`deserialize` is the validation boundary for a full push.  It
+reads each core's records as integer columns, checks them there (order,
+bounds, vCPU ids, slice table, no parallel service), raises
+:class:`TableFormatError` for every rejection, and returns tables that
+build their :class:`~repro.core.table.Allocation` lists only when first
+read; the hypercall stages that table without validating it again.
 """
 
 from __future__ import annotations
@@ -26,10 +38,10 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from itertools import chain
-from typing import Dict, List, Tuple
+from operator import le, lt, sub
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.table import Allocation, CoreTable, SystemTable
+from repro.core.table import CoreTable, SystemTable
 from repro.errors import TableFormatError
 
 MAGIC = b"TBLO"
@@ -78,9 +90,10 @@ def serialize(table: SystemTable) -> bytes:
         core = table.cores[cpu]
         if not core.slices:
             core.build_slices()
+        slices = core.slices
         chunks.append(
             _CPU_HEADER.pack(
-                cpu, len(core.allocations), core.slice_len_ns, len(core.slices), 0
+                cpu, len(core.allocations), core.slice_len_ns, len(slices) // 2, 0
             )
         )
         for alloc in core.allocations:
@@ -90,26 +103,31 @@ def serialize(table: SystemTable) -> bytes:
                 chunks.append(
                     _ALLOC.pack(alloc.start, alloc.end, vcpu_ids[alloc.vcpu], 0)
                 )
-        slices = core.slices
-        chunks.append(
-            struct.pack(f"<{2 * len(slices)}i", *chain.from_iterable(slices))
-        )
+        if sys.byteorder != "little":  # pragma: no cover - BE hosts only
+            slices = slices[:]
+            slices.byteswap()
+        chunks.append(slices.tobytes())
     return b"".join(chunks)
 
 
 def deserialize(payload: bytes) -> SystemTable:
-    """Decode a binary payload back into a :class:`SystemTable`.
+    """Decode and validate a full ``'TBLO'`` push.
 
-    Raises :class:`TableFormatError` on a bad magic number, version
-    mismatch, zero table length, or truncated payload — the checks the
-    hypervisor side of the hypercall performs before installing a table.
+    The one structural check of a full push.  Raises
+    :class:`TableFormatError` on a bad magic number or version, a zero
+    table length, a truncated payload or bytes after the last record, a
+    cpu listed twice, a record that is empty, overlaps its predecessor
+    or ends past the table, a vCPU id out of range, slice records that
+    disagree with the records, and a vCPU served on two cores at once.
 
     The slice records are not trusted: each core's slice table is
-    derived once from its validated allocations (with the wire slice
-    length as the floor, so a floored table round-trips) and the wire
-    copy must match it exactly.  The wire geometry is checked against
-    the allocations *before* the derivation, so the derivation is never
-    larger than the payload that carried it.
+    derived once from its validated records (with the wire slice length
+    as the floor, so a floored table round-trips) and the wire copy must
+    match it exactly.  The wire geometry is checked against the records
+    *before* the derivation, so the derivation is never larger than the
+    payload that carried it.  The vCPU index is derived from the same
+    columns, in the order :class:`SystemTable` derives it from
+    allocations.
     """
     view = memoryview(payload)
     offset = 0
@@ -135,9 +153,63 @@ def deserialize(payload: bytes) -> SystemTable:
     if length_ns == 0:
         # Dispatch reduces time modulo the table length.
         raise TableFormatError("zero table length")
+    names, offset = _read_names(view, offset, nvcpus)
+    # Normalized vCPU id -> name; id -1 (idle) takes the trailing None.
+    by_id: List[Optional[str]] = [*names, None]
 
+    cores: Dict[int, CoreTable] = {}
+    columns: Dict[int, Tuple[array, List[Optional[str]]]] = {}
+    for _ in range(ncpus):
+        cpu, nallocs, slice_len, nslices, _ = take(_CPU_HEADER)
+        if cpu in cores:
+            raise TableFormatError(f"cpu {cpu} listed twice")
+        starts, ends, vcpus = _read_records(
+            take_block(nallocs * _ALLOC.size), cpu, length_ns, by_id
+        )
+        wire = array("i")
+        wire.frombytes(take_block(nslices * _SLICE.size))
+        if sys.byteorder != "little":  # pragma: no cover - BE hosts only
+            wire.byteswap()
+        if nallocs:
+            fits = slice_len >= min(map(sub, ends, starts))
+            fits = fits and nslices == -(-length_ns // slice_len)
+        else:
+            fits = slice_len == length_ns and nslices == 1
+        if not fits:
+            raise TableFormatError(
+                f"cpu{cpu}: {nslices} slices of {slice_len} ns do not fit "
+                f"its allocations"
+            )
+        core = CoreTable.from_records(cpu, length_ns, starts, ends, vcpus)
+        core.derive_slices(starts.tolist(), ends, slice_len)
+        if core.slices != wire:
+            raise TableFormatError(
+                f"cpu{cpu}: slice records disagree with its allocations"
+            )
+        cores[cpu] = core
+        columns[cpu] = (starts, vcpus)
+    _check_consumed(view, offset)
+
+    vcpu_names, home_cores = _vcpu_index(columns)
+    table = SystemTable(
+        length_ns=length_ns,
+        cores=cores,
+        vcpu_names=vcpu_names,
+        home_cores=home_cores,
+    )
+    overlap = table.parallel_service()
+    if overlap is not None:
+        vcpu, start, end = overlap
+        raise TableFormatError(
+            f"vCPU {vcpu} scheduled on two cores during [{start}, {end})"
+        )
+    return table
+
+
+def _read_names(view: memoryview, offset: int, count: int) -> Tuple[List[str], int]:
+    """The vCPU string table at ``offset``, and the offset after it."""
     names: List[str] = []
-    for _ in range(nvcpus):
+    for _ in range(count):
         if offset + 2 > len(view):
             raise TableFormatError("truncated vCPU string table header")
         (name_len,) = struct.unpack_from("<H", view, offset)
@@ -149,48 +221,93 @@ def deserialize(payload: bytes) -> SystemTable:
         except UnicodeDecodeError as error:
             raise TableFormatError(f"corrupt vCPU name: {error}") from None
         offset += name_len
-
-    cores: Dict[int, CoreTable] = {}
-    for _ in range(ncpus):
-        cpu, nallocs, slice_len, nslices, _ = take(_CPU_HEADER)
-        records = take_block(nallocs * _ALLOC.size)
-        allocations: List[Allocation] = []
-        for start, end, vcpu_id, flags in _ALLOC.iter_unpack(records):
-            if flags & FLAG_IDLE or vcpu_id < 0:
-                allocations.append(Allocation(start, end, None))
-            else:
-                if vcpu_id >= len(names):
-                    raise TableFormatError(f"vCPU id {vcpu_id} out of range")
-                allocations.append(Allocation(start, end, names[vcpu_id]))
-        wire = array("i")
-        wire.frombytes(take_block(nslices * _SLICE.size))
-        if sys.byteorder != "little":  # pragma: no cover - BE hosts only
-            wire.byteswap()
-        core = CoreTable(cpu=cpu, length_ns=length_ns, allocations=allocations)
-        core.validate_layout()
-        _derive_slices(core, slice_len, nslices, wire)
-        cores[cpu] = core
-
-    return SystemTable(length_ns=length_ns, cores=cores)
+    return names, offset
 
 
-def _derive_slices(core: CoreTable, slice_len: int, nslices: int, wire: array) -> None:
-    """Build ``core``'s slice table and reject a wire copy that disagrees."""
-    shortest = core.min_allocation_ns()
-    if shortest is None:
-        fits = slice_len == core.length_ns and nslices == 1
-    else:
-        fits = slice_len >= shortest and nslices == -(-core.length_ns // slice_len)
-    if not fits:
+def _check_consumed(view: memoryview, offset: int) -> None:
+    if offset != len(view):
         raise TableFormatError(
-            f"cpu{core.cpu}: {nslices} slices of {slice_len} ns do not fit "
-            f"its allocations"
+            f"{len(view) - offset} trailing bytes after the last record"
         )
-    core.build_slices(slice_len)
-    if list(zip(wire[0::2], wire[1::2])) != core.slices:
-        raise TableFormatError(
-            f"cpu{core.cpu}: slice records disagree with its allocations"
+
+
+def _read_records(
+    block: memoryview, cpu: int, length_ns: int, by_id: List[Optional[str]]
+) -> Tuple[array, array, List[Optional[str]]]:
+    """One core's allocation records as validated ``(starts, ends, vcpus)``.
+
+    The 32-byte records are read as whole-block integer arrays and split
+    into columns by stride; ``vcpus`` holds each record's vCPU name, or
+    ``None`` for an idle record (idle flag or negative id).
+    """
+    quads = array("Q")
+    quads.frombytes(block)
+    words = array("i")
+    words.frombytes(block)
+    if sys.byteorder != "little":  # pragma: no cover - BE hosts only
+        quads.byteswap()
+        words.byteswap()
+    starts = quads[0::4]
+    ends = quads[1::4]
+    _check_layout(cpu, starts, ends, length_ns)
+    ids = words[4::8]
+    flags = words[5::8]
+    if any(flags) or (ids and min(ids) < -1):
+        ids = array(
+            "i", [-1 if f & FLAG_IDLE or i < 0 else i for i, f in zip(ids, flags)]
         )
+    if ids and max(ids) >= len(by_id) - 1:
+        raise TableFormatError(f"vCPU id {max(ids)} out of range")
+    return starts, ends, list(map(by_id.__getitem__, ids))
+
+
+def _check_layout(cpu: int, starts: array, ends: array, length_ns: int) -> None:
+    """Reject records that are empty, overlap, or end past the table."""
+    if (
+        all(map(lt, starts, ends))
+        and all(map(le, ends, starts[1:]))
+        and (not ends or ends[-1] <= length_ns)
+    ):
+        return
+    previous_end = 0
+    for start, end in zip(starts, ends):
+        if end <= start:
+            problem = "is empty or inverted"
+        elif start < previous_end:
+            problem = f"overlaps its predecessor ending at {previous_end}"
+        elif end > length_ns:
+            problem = f"exceeds table length {length_ns}"
+        else:
+            previous_end = end
+            continue
+        raise TableFormatError(f"cpu{cpu}: record [{start}, {end}) {problem}")
+
+
+def _vcpu_index(
+    columns: Dict[int, Tuple[array, List[Optional[str]]]],
+) -> Tuple[List[str], Dict[str, List[int]]]:
+    """``vcpu_names`` and ``home_cores`` from per-cpu ``(starts, vcpus)``.
+
+    The same order ``SystemTable`` derives from allocation lists: names
+    in first-discovery order over sorted cpus, home cores in the time
+    order of each vCPU's first record on them.
+    """
+    homes: Dict[str, List[Tuple[int, int]]] = {}
+    for cpu in sorted(columns):
+        starts, vcpus = columns[cpu]
+        for vcpu in dict.fromkeys(vcpus):
+            if vcpu is not None:
+                entry = (starts[vcpus.index(vcpu)], cpu)
+                entries = homes.get(vcpu)
+                if entries is None:
+                    homes[vcpu] = [entry]
+                else:
+                    entries.append(entry)
+    home_cores = {
+        vcpu: [cpu for _start, cpu in sorted(entries)]
+        for vcpu, entries in homes.items()
+    }
+    return list(homes), home_cores
 
 
 def serialize_arrays(table: SystemTable) -> bytes:
@@ -249,40 +366,41 @@ def deserialize_arrays(
     Returns ``(length_ns, vcpu_names, columns)`` where ``columns`` maps
     each cpu to its ``(ends, handles)`` pair of ``array('q')`` columns,
     ready for cursor playback.  Raises :class:`TableFormatError` on bad
-    magic, version mismatch, or truncation, mirroring
-    :func:`deserialize`.
+    magic, version mismatch, truncation, trailing bytes, or malformed
+    columns (see :func:`_read_columns`), mirroring :func:`deserialize`.
     """
     view = memoryview(payload)
-    offset = 0
     if _HEADER.size > len(view):
         raise TableFormatError("truncated array table header")
     magic, version, ncpus, length_ns, nvcpus, _ = _HEADER.unpack_from(view, 0)
-    offset = _HEADER.size
     if magic != ARRAY_MAGIC:
         raise TableFormatError(f"bad array-table magic {magic!r}")
     if version != ARRAY_VERSION:
         raise TableFormatError(f"unsupported array-table version {version}")
+    names, offset = _read_names(view, _HEADER.size, nvcpus)
+    columns = _read_columns(view, offset, ncpus, length_ns, len(names))
+    return length_ns, names, columns
 
-    names: List[str] = []
-    for _ in range(nvcpus):
-        if offset + 2 > len(view):
-            raise TableFormatError("truncated vCPU string table header")
-        (name_len,) = struct.unpack_from("<H", view, offset)
-        offset += 2
-        if offset + name_len > len(view):
-            raise TableFormatError("truncated vCPU string table")
-        try:
-            names.append(bytes(view[offset : offset + name_len]).decode("utf-8"))
-        except UnicodeDecodeError as error:
-            raise TableFormatError(f"corrupt vCPU name: {error}") from None
-        offset += name_len
 
+def _read_columns(
+    view: memoryview, offset: int, ncpus: int, length_ns: int, nnames: int
+) -> Dict[int, Tuple[array, array]]:
+    """The per-cpu ``(ends, handles)`` columns of a segment-column payload.
+
+    Shared by the ``'TBLA'`` and ``'TBLD'`` decoders.  Each cpu may
+    appear once; its ends must rise strictly from the implicit first
+    start 0 and finish at ``length_ns`` (the segments cover the cycle
+    without gaps or overlaps); its handles must be ``-1`` (idle) or
+    index the string table; and the columns must end the payload.
+    """
     columns: Dict[int, Tuple[array, array]] = {}
     for _ in range(ncpus):
         if offset + _ARRAY_CPU_HEADER.size > len(view):
-            raise TableFormatError("truncated per-cpu array header")
+            raise TableFormatError("truncated per-cpu column header")
         cpu, nsegs = _ARRAY_CPU_HEADER.unpack_from(view, offset)
         offset += _ARRAY_CPU_HEADER.size
+        if cpu in columns:
+            raise TableFormatError(f"cpu {cpu} listed twice")
         column_bytes = nsegs * 8
         if offset + 2 * column_bytes > len(view):
             raise TableFormatError(
@@ -297,11 +415,24 @@ def deserialize_arrays(
         if sys.byteorder != "little":  # pragma: no cover - BE hosts only
             ends.byteswap()
             handles.byteswap()
-        for handle in handles:
-            if handle >= len(names):
-                raise TableFormatError(f"vCPU handle {handle} out of range")
+        if not (
+            ends
+            and ends[0] > 0
+            and ends[-1] == length_ns
+            and all(map(lt, ends, ends[1:]))
+        ):
+            raise TableFormatError(
+                f"cpu{cpu}: segment ends must rise strictly from 0 to the "
+                f"table length {length_ns}"
+            )
+        lowest = min(handles)
+        highest = max(handles)
+        if lowest < -1 or highest >= nnames:
+            handle = lowest if lowest < -1 else highest
+            raise TableFormatError(f"vCPU handle {handle} out of range")
         columns[cpu] = (ends, handles)
-    return length_ns, names, columns
+    _check_consumed(view, offset)
+    return columns
 
 
 def serialize_delta(
@@ -352,7 +483,8 @@ def deserialize_delta(
     Returns ``(length_ns, vcpu_names, base_token, columns)`` where
     ``columns`` maps each *changed* cpu to its ``(ends, handles)``
     column pair.  Raises :class:`TableFormatError` on bad magic, version
-    mismatch, or truncation.
+    mismatch, truncation, trailing bytes, or malformed columns (see
+    :func:`_read_columns`).
     """
     view = memoryview(payload)
     if _HEADER.size > len(view):
@@ -360,50 +492,12 @@ def deserialize_delta(
     magic, version, ncpus, length_ns, nvcpus, base_token = _HEADER.unpack_from(
         view, 0
     )
-    offset = _HEADER.size
     if magic != DELTA_MAGIC:
         raise TableFormatError(f"bad delta-table magic {magic!r}")
     if version != DELTA_VERSION:
         raise TableFormatError(f"unsupported delta-table version {version}")
-
-    names: List[str] = []
-    for _ in range(nvcpus):
-        if offset + 2 > len(view):
-            raise TableFormatError("truncated vCPU string table header")
-        (name_len,) = struct.unpack_from("<H", view, offset)
-        offset += 2
-        if offset + name_len > len(view):
-            raise TableFormatError("truncated vCPU string table")
-        try:
-            names.append(bytes(view[offset : offset + name_len]).decode("utf-8"))
-        except UnicodeDecodeError as error:
-            raise TableFormatError(f"corrupt vCPU name: {error}") from None
-        offset += name_len
-
-    columns: Dict[int, Tuple[array, array]] = {}
-    for _ in range(ncpus):
-        if offset + _ARRAY_CPU_HEADER.size > len(view):
-            raise TableFormatError("truncated per-cpu delta header")
-        cpu, nsegs = _ARRAY_CPU_HEADER.unpack_from(view, offset)
-        offset += _ARRAY_CPU_HEADER.size
-        column_bytes = nsegs * 8
-        if offset + 2 * column_bytes > len(view):
-            raise TableFormatError(
-                f"truncated segment columns for cpu {cpu} at offset {offset}"
-            )
-        ends = array("q")
-        handles = array("q")
-        ends.frombytes(view[offset : offset + column_bytes])
-        offset += column_bytes
-        handles.frombytes(view[offset : offset + column_bytes])
-        offset += column_bytes
-        if sys.byteorder != "little":  # pragma: no cover - BE hosts only
-            ends.byteswap()
-            handles.byteswap()
-        for handle in handles:
-            if handle >= len(names):
-                raise TableFormatError(f"vCPU handle {handle} out of range")
-        columns[cpu] = (ends, handles)
+    names, offset = _read_names(view, _HEADER.size, nvcpus)
+    columns = _read_columns(view, offset, ncpus, length_ns, len(names))
     return length_ns, names, base_token, columns
 
 
@@ -421,7 +515,7 @@ def table_size_bytes(table: SystemTable) -> int:
         size += 2 + len(name.encode("utf-8"))
     for core in table.cores.values():
         if core.slices:
-            nslices = len(core.slices)
+            nslices = len(core.slices) // 2
         else:
             shortest = core.min_allocation_ns()
             if shortest is None:

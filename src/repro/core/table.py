@@ -7,14 +7,18 @@ into fixed-size slices for O(1) dispatch.  The slice length on each core
 equals the length of that core's shortest allocation, which guarantees a
 slice never overlaps more than two allocations, so a dispatch decision
 touches at most two records.
+
+A table decoded from the binary push format keeps its records as
+integer columns and builds its :class:`Allocation` list only when first
+read (see :meth:`CoreTable.from_records`).
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.tasks import PeriodicTask
 from repro.errors import ConfigurationError, PlanningError
@@ -22,9 +26,17 @@ from repro.errors import ConfigurationError, PlanningError
 #: vCPU id used in serialized tables for idle intervals.
 IDLE = None
 
-#: Slice entry of a slice that overlaps more than two allocations (only
-#: possible under a slice-length floor): lookups binary-search instead.
-_CROWDED = (-2, -2)
+#: Slice-table entry of a slice that overlaps more than two allocations
+#: (only possible under a slice-length floor): lookups binary-search instead.
+_CROWDED = -2
+
+#: A decoded table's record columns: starts, ends, and each record's vCPU
+#: name (``None`` for an idle record).
+Records = Tuple[array, array, List[Optional[str]]]
+
+
+def _no_slices() -> array:
+    return array("i")
 
 
 @dataclass(frozen=True)
@@ -61,16 +73,17 @@ class CoreTable:
         allocations: Time-ordered, non-overlapping vCPU reservations.
         slice_len_ns: Fixed slice size for O(1) lookup (set by
             :meth:`build_slices`).
-        slices: For each slice, indices of the (at most two) allocations
-            it overlaps, as a ``(first, second)`` pair with ``-1`` for
-            "none".
+        slices: The slice table as the ``'TBLO'`` format stores it: a
+            flat ``array('i')`` holding, for each slice, the indices of
+            the (at most two) allocations it overlaps, first then second,
+            ``-1`` for "none" and ``-2, -2`` for a crowded slice.
     """
 
     cpu: int
     length_ns: int
     allocations: List[Allocation] = field(default_factory=list)
     slice_len_ns: int = 0
-    slices: List[Tuple[int, int]] = field(default_factory=list)
+    slices: array = field(default_factory=_no_slices)
     _starts: List[int] = field(default_factory=list, repr=False)
     #: All allocation boundaries (starts, ends, table length), sorted —
     #: precomputed by :meth:`build_slices` so ``next_boundary`` is a
@@ -100,11 +113,36 @@ class CoreTable:
     #: Shortest allocation, cached at column-attach time (tables with
     #: columns are planner-produced and never mutated afterwards).
     _min_alloc_ns: Optional[int] = field(default=None, repr=False, compare=False)
+    #: Record columns of a decoded table (:meth:`from_records`); its
+    #: ``allocations`` list is built from them on first read.
+    _records: Optional[Records] = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_records(
+        cls,
+        cpu: int,
+        length_ns: int,
+        starts: array,
+        ends: array,
+        vcpus: List[Optional[str]],
+    ) -> "CoreTable":
+        """A table over validated record columns, allocations built lazily.
+
+        ``starts``/``ends``/``vcpus`` are the time-ordered, non-overlapping
+        records of a decoded push.  The :class:`Allocation` list is built
+        from them on the first read of :attr:`allocations` and cached, so
+        a staged table that is never dispatched never builds one.
+        """
+        table = cls(cpu=cpu, length_ns=length_ns, _records=(starts, ends, vcpus))
+        del table.allocations  # read through _LazyAllocations from now on
+        return table
 
     def __getstate__(self) -> Dict[str, object]:
-        # Transient lookup memos are dropped from pickles (plan-store
+        # Pickles hold the allocation list (a decoded table builds it
+        # here), never the record columns, so a decoded table pickles
+        # like any other.  Transient lookup memos are dropped (plan-store
         # entries, process-pool transfers); the segment columns travel.
-        state = dict(self.__dict__)
+        state = {name: getattr(self, name) for name in _PICKLED_FIELDS}
         state["_memo"] = None
         state["_arrays_memo"] = None
         return state
@@ -147,49 +185,63 @@ class CoreTable:
         safeguard for degenerate tables.  When the floor is applied the
         at-most-two-allocations invariant may no longer hold and lookups
         transparently fall back to binary search for affected slices.
-
-        One pass over the (time-ordered, non-overlapping) allocations:
-        each allocation claims the slices it covers.  Its interior slices
-        hold it alone; only its two boundary slices can be shared, and a
-        boundary slice that would need a third entry becomes the
-        ``(-2, -2)`` binary-search sentinel.
+        An always-idle core gets one slice covering the whole table.
         """
-        self._memo = None
-        length = self.length_ns
         shortest = self.min_allocation_ns()
         if shortest is None:
-            # An always-idle core: one slice covering the whole table.
-            self.slice_len_ns = length
-            self.slices = [(-1, -1)]
-            self._starts = []
-            self._bounds = [length]
-            return
-        slice_len = max(shortest, min_slice_len_ns)
-        self.slice_len_ns = slice_len
-        slices: List[Tuple[int, int]] = [(-1, -1)] * -(-length // slice_len)
-        starts: List[int] = []
+            slice_len = self.length_ns
+        else:
+            slice_len = max(shortest, min_slice_len_ns)
+        allocations = self.allocations
+        self.derive_slices(
+            [a.start for a in allocations], [a.end for a in allocations], slice_len
+        )
+
+    def derive_slices(
+        self, starts: List[int], ends: Sequence[int], slice_len: int
+    ) -> None:
+        """Install the slice table of ``slice_len``-ns slices over records.
+
+        The one slice-table derivation: :meth:`build_slices` feeds it the
+        allocation list, the ``'TBLO'`` decoder a push's validated record
+        columns.  ``starts``/``ends`` must be time-ordered and
+        non-overlapping, and ``slice_len`` at least the shortest record.
+
+        One pass over the records: each claims the slices it covers.  Its
+        interior slices hold it alone; only its two boundary slices can
+        be shared, and a boundary slice that would need a third entry
+        becomes the ``-2, -2`` binary-search sentinel.  The first entries
+        are filled as one list, the few second entries (boundary slices
+        only) are kept apart and written into the column at the end.
+        """
+        length = self.length_ns
+        count = -(-length // slice_len)
+        firsts = [-1] * count
+        seconds: Dict[int, int] = {}
         bounds: List[int] = []
-        for index, alloc in enumerate(self.allocations):
-            start = alloc.start
-            end = alloc.end
-            starts.append(start)
+        for index, (start, end) in enumerate(zip(starts, ends)):
             if not bounds or bounds[-1] != start:
                 bounds.append(start)
             bounds.append(end)
             first = start // slice_len
-            last = (end - 1) // slice_len
-            held, other = slices[first]
-            if held == -1:
-                slices[first] = (index, -1)
-            elif other == -1:
-                slices[first] = (held, index)
+            if firsts[first] == -1:
+                firsts[first] = index
+            elif first not in seconds:
+                seconds[first] = index
             else:
-                slices[first] = _CROWDED
+                firsts[first] = seconds[first] = _CROWDED
+            last = (end - 1) // slice_len
             if last > first:
-                # Earlier allocations end before slice first + 1 begins.
-                slices[first + 1 : last + 1] = [(index, -1)] * (last - first)
-        if bounds[-1] != length:
+                # Earlier records end before slice first + 1 begins.
+                firsts[first + 1 : last + 1] = [index] * (last - first)
+        if not bounds or bounds[-1] != length:
             bounds.append(length)
+        slices = array("i", (-1, -1)) * count
+        slices[0::2] = array("i", firsts)
+        for first, index in seconds.items():
+            slices[2 * first + 1] = index
+        self._memo = None
+        self.slice_len_ns = slice_len
         self.slices = slices
         self._starts = starts
         self._bounds = bounds
@@ -210,15 +262,16 @@ class CoreTable:
             self.build_slices()
         offset = now_ns % self.length_ns
         base = now_ns - offset
-        index = offset // self.slice_len_ns
-        if index >= len(self.slices):
-            index = len(self.slices) - 1
-        first, second = self.slices[index]
-        if first == -2:
+        slices = self.slices
+        at = offset // self.slice_len_ns * 2
+        if at >= len(slices):
+            at = len(slices) - 2
+        first = slices[at]
+        if first == _CROWDED:
             found = self._lookup_slow(offset)
         else:
             found = None
-            for alloc_index in (first, second):
+            for alloc_index in (first, slices[at + 1]):
                 if alloc_index < 0:
                     continue
                 alloc = self.allocations[alloc_index]
@@ -259,7 +312,11 @@ class CoreTable:
         return None
 
     def service_intervals(self, vcpu: str) -> List[Tuple[int, int]]:
-        return [(a.start, a.end) for a in self.allocations if a.vcpu == vcpu]
+        records = self._records
+        if records is None:
+            return [(a.start, a.end) for a in self.allocations if a.vcpu == vcpu]
+        starts, ends, vcpus = records
+        return [(s, e) for s, e, v in zip(starts, ends, vcpus) if v == vcpu]
 
     def attach_columns(
         self,
@@ -372,6 +429,36 @@ class CoreTable:
         result = (starts, ends, handles)
         self._arrays_memo = (mapping, result)
         return result
+
+
+class _LazyAllocations:
+    """``CoreTable.allocations`` of a table made by ``from_records``.
+
+    A non-data descriptor: it is reached only while a table has no
+    ``allocations`` of its own, builds the list from the record columns,
+    and stores it on the table, so every later read is a plain attribute
+    read.  (A ``__getattr__`` hook would do the same, but CPython cannot
+    specialize attribute reads on a class that has one, which slows every
+    ``CoreTable`` attribute read.)
+    """
+
+    def __get__(self, table: Optional[CoreTable], owner: type) -> Any:
+        if table is None:
+            return self
+        records = table._records
+        if records is None:
+            raise AttributeError("allocations")
+        allocations = list(map(Allocation, *records))
+        table.allocations = allocations
+        return allocations
+
+
+# Installed after the dataclass is built: as a class-body default it would
+# become the field's default value.
+setattr(CoreTable, "allocations", _LazyAllocations())
+
+#: What a :class:`CoreTable` pickles: every field but the record columns.
+_PICKLED_FIELDS = tuple(f.name for f in fields(CoreTable) if f.name != "_records")
 
 
 @dataclass
@@ -543,7 +630,8 @@ class SystemTable:
 
         Returns offending ``(vcpu, time, time)`` witnesses; must be empty
         for a valid table (split subtasks are constructed to never run in
-        parallel).
+        parallel).  Scans every allocation; :meth:`parallel_service` is
+        the check the planner, the decoder and :meth:`validate` run.
         """
         witnesses: List[Tuple[str, int, int]] = []
         by_vcpu: Dict[str, List[Tuple[int, int]]] = {}
@@ -574,6 +662,26 @@ class SystemTable:
                 continue
             table.build_slices(min_slice_len_ns)
 
+    def parallel_service(self) -> Optional[Tuple[str, int, int]]:
+        """First ``(vcpu, start, end)`` a vCPU is served on two cores at once.
+
+        The no-parallel-service check, for a table whose per-core layouts
+        are valid: then only a vCPU homed on two or more cores can
+        overlap itself, so only those vCPUs' intervals are read (from
+        :attr:`home_cores`).  ``None`` when there is no such instant.
+        """
+        for vcpu, homes in self.home_cores.items():
+            if len(homes) < 2:
+                continue
+            intervals: List[Tuple[int, int]] = []
+            for cpu in homes:
+                intervals.extend(self.cores[cpu].service_intervals(vcpu))
+            intervals.sort()
+            for (_s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
+                if s2 < e1:
+                    return vcpu, s2, min(e1, e2)
+        return None
+
     def validate(self) -> None:
         """Structural validation: layout, lengths, and no parallel service."""
         for cpu, table in self.cores.items():
@@ -583,9 +691,9 @@ class SystemTable:
                     f"length {self.length_ns}"
                 )
             table.validate_layout()
-        overlaps = self.overlapping_service()
-        if overlaps:
-            vcpu, start, end = overlaps[0]
+        overlap = self.parallel_service()
+        if overlap is not None:
+            vcpu, start, end = overlap
             raise PlanningError(
                 f"vCPU {vcpu} scheduled on two cores during [{start}, {end})"
             )

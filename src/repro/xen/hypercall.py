@@ -154,13 +154,15 @@ class TableHypercall:
         *currently serving* table's length, so the math stays consistent
         even when the staged table's ``length_ns`` differs.
 
-        All failure exits happen before :meth:`TableauScheduler.
-        install_table`: a rejected push leaves the serving table, the
-        staged table, and all accounting untouched.
+        :func:`~repro.core.serialize.deserialize` is the whole structural
+        check: every malformed payload raises :class:`TableFormatError`
+        there, and the table it returns is staged as is.  All failure
+        exits happen before :meth:`TableauScheduler.install_table`: a
+        rejected push leaves the serving table, the staged table, and all
+        accounting untouched.
         """
         payload = self._consult_push_faults(payload)
-        table = deserialize(payload)  # raises TableFormatError when bad
-        table.validate()
+        table = deserialize(payload)
         return self._stage(table, len(payload), delta=False)
 
     def push_table_delta(self, payload: bytes) -> PushRecord:

@@ -5,7 +5,10 @@ every slice it walks the allocations overlapping it.  The builder in
 :meth:`CoreTable.build_slices` must produce exactly the same slice
 geometry, entries, start index and boundary list on every valid layout,
 with and without a slice-length floor (the floor is what crowds a slice
-past two allocations and forces the ``(-2, -2)`` sentinel).
+past two allocations and forces the ``(-2, -2)`` sentinel).  The builder
+stores the slice table flat, as the ``'TBLO'`` slice column (an
+``array('i')``, first then second entry per slice); :func:`pairs` reads
+it back as the probe's ``(first, second)`` pairs.
 """
 
 from typing import List, Tuple
@@ -74,8 +77,14 @@ def layouts(draw) -> CoreTable:
     return table
 
 
+def pairs(slices) -> List[Tuple[int, int]]:
+    """A flat int32 slice column as ``(first, second)`` pairs."""
+    assert slices.typecode == "i" and len(slices) % 2 == 0
+    return list(zip(slices[0::2], slices[1::2]))
+
+
 def _geometry(table: CoreTable):
-    return table.slice_len_ns, table.slices, table._starts, table._bounds
+    return table.slice_len_ns, pairs(table.slices), table._starts, table._bounds
 
 
 class TestOnePassMatchesProbe:
@@ -103,7 +112,7 @@ class TestOnePassMatchesProbe:
             ],
         )
         table.build_slices(min_slice_len_ns=50)
-        assert table.slices == [(-2, -2), (3, -1)]
+        assert pairs(table.slices) == [(-2, -2), (3, -1)]
         assert _geometry(table) == reference_build_slices(table, 50)
         assert table.lookup(22).vcpu == "c"
         assert table.lookup(30) is None
@@ -115,12 +124,12 @@ class TestOnePassMatchesProbe:
             allocations=[Allocation(0, 30, "a"), Allocation(40, 70, "b")],
         )
         table.build_slices()
-        assert table.slices == [(0, -1), (1, -1), (1, -1)]
+        assert pairs(table.slices) == [(0, -1), (1, -1), (1, -1)]
         table = CoreTable(
             cpu=0,
             length_ns=100,
             allocations=[Allocation(5, 25, "a"), Allocation(25, 60, "b")],
         )
         table.build_slices()
-        assert table.slices == [(0, -1), (0, 1), (1, -1), (-1, -1), (-1, -1)]
+        assert pairs(table.slices) == [(0, -1), (0, 1), (1, -1), (-1, -1), (-1, -1)]
         assert _geometry(table) == reference_build_slices(table)

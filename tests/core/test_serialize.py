@@ -1,6 +1,7 @@
 """Tests for the binary scheduling-table format."""
 
 import struct
+from array import array
 
 import pytest
 
@@ -9,8 +10,10 @@ from repro.core.serialize import (
     MAGIC,
     deserialize,
     deserialize_arrays,
+    deserialize_delta,
     serialize,
     serialize_arrays,
+    serialize_delta,
     table_size_bytes,
 )
 from repro.core.table import Allocation, CoreTable, SystemTable
@@ -66,26 +69,27 @@ class TestRoundTrip:
     def test_floored_slice_table_round_trips(self):
         # The wire slice length is the floor the receiver derives with,
         # so a table whose slices were built under a floor decodes to the
-        # same (crowded) slice table.
+        # same (crowded) slice table.  Core 2 serves its own vCPUs: the
+        # decoder rejects a vCPU served on two cores at once.
         cores = dict(sample_system().cores)
         cores[2] = CoreTable(
             cpu=2,
             length_ns=10_000,
             allocations=[
-                Allocation(0, 1_000, "vm0.vcpu0"),
-                Allocation(1_000, 2_000, "vm1.vcpu0"),
-                Allocation(2_000, 3_000, "vm2.vcpu0"),
-                Allocation(6_000, 9_000, "vm0.vcpu0"),
+                Allocation(0, 1_000, "vm3.vcpu0"),
+                Allocation(1_000, 2_000, "vm4.vcpu0"),
+                Allocation(2_000, 3_000, "vm5.vcpu0"),
+                Allocation(6_000, 9_000, "vm3.vcpu0"),
             ],
         )
         system = SystemTable(length_ns=10_000, cores=cores)
         system.build_slices(min_slice_len_ns=5_000)
-        assert system.cores[2].slices == [(-2, -2), (3, -1)]
+        assert system.cores[2].slices == array("i", [-2, -2, 3, -1])
         restored = deserialize(serialize(system))
         for cpu in system.cores:
             assert restored.cores[cpu].slice_len_ns == 5_000
             assert restored.cores[cpu].slices == system.cores[cpu].slices
-        assert restored.cores[2].lookup(2_500).vcpu == "vm2.vcpu0"
+        assert restored.cores[2].lookup(2_500).vcpu == "vm5.vcpu0"
 
     def test_bytes_follow_the_documented_record_layout(self):
         # Packed record by record, as the module docstring lays it out:
@@ -106,14 +110,14 @@ class TestRoundTrip:
                     cpu,
                     len(core.allocations),
                     core.slice_len_ns,
-                    len(core.slices),
+                    len(core.slices) // 2,
                     0,
                 )
             )
             for a in core.allocations:
                 vcpu, flags = (-1, 1) if a.vcpu is None else (ids[a.vcpu], 0)
                 expected.append(struct.pack("<QQiI8x", a.start, a.end, vcpu, flags))
-            for first, second in core.slices:
+            for first, second in zip(core.slices[0::2], core.slices[1::2]):
                 expected.append(struct.pack("<ii", first, second))
         assert serialize(system) == b"".join(expected)
 
@@ -148,6 +152,58 @@ class TestFormatErrors:
     def test_empty_payload_rejected(self):
         with pytest.raises(TableFormatError):
             deserialize(b"")
+
+
+def names_end(system):
+    """Offset of the first per-cpu header (after header and string table)."""
+    return 24 + sum(2 + len(name.encode()) for name in system.vcpu_names)
+
+
+def second_cpu_offset(system, payload_kind):
+    """Offset of the second cpu's header in a payload of ``system``."""
+    first = system.cores[min(system.cores)]
+    if payload_kind == "TBLO":
+        first.build_slices()
+        size = 24 + 32 * len(first.allocations) + 4 * len(first.slices)
+    else:
+        size = 8 + 16 * len(system.as_arrays()[first.cpu][1])
+    return names_end(system) + size
+
+
+ENCODERS = {
+    "TBLO": (serialize, deserialize),
+    "TBLA": (serialize_arrays, deserialize_arrays),
+    "TBLD": (lambda system: serialize_delta(system, [0, 1], 7), deserialize_delta),
+}
+
+
+class TestStructuralRejections:
+    """Every decoder rejects a cpu listed twice and bytes after the end."""
+
+    @pytest.mark.parametrize("kind", sorted(ENCODERS))
+    def test_sample_payload_decodes(self, kind):
+        encode, decode = ENCODERS[kind]
+        decode(encode(sample_system()))
+
+    @pytest.mark.parametrize("kind", sorted(ENCODERS))
+    def test_cpu_listed_twice_rejected(self, kind):
+        # Renumber the second cpu as the first: before, a full push
+        # decoded to fewer cores than its header's count.
+        encode, decode = ENCODERS[kind]
+        system = sample_system()
+        payload = bytearray(encode(system))
+        at = second_cpu_offset(system, kind)
+        assert struct.unpack_from("<I", payload, at)[0] == 1
+        struct.pack_into("<I", payload, at, 0)
+        with pytest.raises(TableFormatError, match="listed twice"):
+            decode(bytes(payload))
+
+    @pytest.mark.parametrize("kind", sorted(ENCODERS))
+    @pytest.mark.parametrize("extra", [b"\x00", b"\xff" * 8, bytes(32)])
+    def test_trailing_bytes_rejected(self, kind, extra):
+        encode, decode = ENCODERS[kind]
+        with pytest.raises(TableFormatError, match="trailing bytes"):
+            decode(encode(sample_system()) + extra)
 
 
 class TestArrayFormat:

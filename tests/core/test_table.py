@@ -1,5 +1,7 @@
 """Tests for table data structures: slice tables, lookups, blackout."""
 
+from array import array
+
 import pytest
 
 from repro.core.table import Allocation, CoreTable, SystemTable
@@ -57,10 +59,11 @@ class TestSliceTable:
             [(0, 700, "a"), (700, 1_400, "b"), (1_500, 2_200, "c"), (2_300, 9_100, "d")]
         )
         table.build_slices()
-        for first, second in table.slices:
+        # The slice table is flat: first then second entry per slice.
+        for first in table.slices[0::2]:
             assert first != -2  # never needs the fallback path
         # Reconstruct overlap counts independently.
-        for index in range(len(table.slices)):
+        for index in range(len(table.slices) // 2):
             lo = index * table.slice_len_ns
             hi = min(lo + table.slice_len_ns, table.length_ns)
             overlapping = [
@@ -106,7 +109,7 @@ class TestSliceTable:
     def test_idle_core_single_slice(self):
         table = core_table([])
         table.build_slices()
-        assert table.slices == [(-1, -1)]
+        assert table.slices == array("i", [-1, -1])
         assert table.lookup(1_234) is None
 
     def test_min_slice_floor_falls_back_to_search(self):

@@ -5,10 +5,12 @@ and base-token protocol, and the daemon's eligibility gating plus the
 mismatch → full-push fallback.
 """
 
+import struct
+
 import pytest
 
 from repro.core import MS, CensusDelta, Planner, make_vm, serialize
-from repro.core.serialize import serialize_delta
+from repro.core.serialize import deserialize_delta, serialize_delta
 from repro.core.table import SystemTable
 from repro.errors import TableDeltaMismatchError, TableFormatError
 from repro.faults import FaultPlan
@@ -114,6 +116,71 @@ class TestHypercallDeltaProtocol:
         garbled = b"TBLX" + payload[4:]
         with pytest.raises(TableFormatError):
             hypercall.push_table_delta(garbled)
+
+
+def delta_payload(length_ns, names, token, cpu, ends, handles):
+    """A hand-built one-core 'TBLD' payload with the given raw columns."""
+    chunks = [struct.pack("<4sHHQII", b"TBLD", 1, 1, length_ns, len(names), token)]
+    for name in names:
+        chunks.append(struct.pack("<H", len(name)) + name.encode())
+    chunks.append(struct.pack("<II", cpu, len(ends)))
+    chunks.append(struct.pack(f"<{len(ends)}q", *ends))
+    chunks.append(struct.pack(f"<{len(handles)}q", *handles))
+    return b"".join(chunks)
+
+
+class TestMalformedDeltaColumns:
+    """Segment columns must cover the cycle: strictly increasing ends that
+    finish at the table length, handles -1 (idle) or a vCPU index."""
+
+    @staticmethod
+    def pushed():
+        daemon, hypercall, sched = build_daemon()
+        daemon.replan(census(4), "boot")
+        return hypercall, sched, hypercall.staged_table
+
+    def crafted(self, hypercall, base, ends, handles):
+        length = base.length_ns
+        return delta_payload(
+            length,
+            list(base.vcpu_names),
+            hypercall.delta_generation,
+            min(base.cores),
+            [end * length // 10_000 for end in ends],
+            handles,
+        )
+
+    def test_well_formed_crafted_delta_is_staged(self):
+        # The control: the same crafting, with valid columns, is accepted
+        # (handle 0 is the first vCPU on the lowest cpu, served only there).
+        hypercall, _, base = self.pushed()
+        assert base.home_cores[base.vcpu_names[0]] == [min(base.cores)]
+        payload = self.crafted(hypercall, base, [2_500, 6_000, 10_000], [0, -1, 0])
+        assert hypercall.push_table_delta(payload).delta
+
+    @pytest.mark.parametrize(
+        "ends, handles",
+        [
+            ([5_000, 2_500, 10_000], [-1, -1, 0]),  # backwards inside idle
+            ([2_500, 6_000], [0, -1]),  # stops short of the table length
+            ([5_000, 12_000], [0, -1]),  # idle segment runs past the length
+            ([5_000, 10_000], [0, -2]),  # handle below -1
+        ],
+    )
+    def test_malformed_columns_rejected_untouched(self, ends, handles):
+        hypercall, sched, base = self.pushed()
+        payload = self.crafted(hypercall, base, ends, handles)
+        with pytest.raises(TableFormatError):
+            deserialize_delta(payload)
+        pushes = list(hypercall.pushes)
+        generation = hypercall.delta_generation
+        with pytest.raises(TableFormatError):
+            hypercall.push_table_delta(payload)
+        assert hypercall.staged_table is base
+        assert sched.pending_table is base
+        assert hypercall.pushes == pushes
+        assert hypercall.delta_generation == generation
+        assert hypercall.retired_unactivated == 0
 
 
 class TestDaemonDeltaGating:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import MS, Planner, make_vm, serialize
 from repro.core.serialize import deserialize
+from repro.core.table import Allocation, CoreTable, SystemTable
 from repro.errors import TableFormatError
 from repro.schedulers import TableauScheduler
 from repro.sim import Machine, VCpu
@@ -144,6 +145,63 @@ def slice_table_bomb():
     )
 
 
+def record_offset(table, cpu, index):
+    """Byte offset of allocation record ``index`` of ``cpu`` in ``serialize(table)``."""
+    offset = 24 + sum(2 + len(name.encode()) for name in table.vcpu_names)
+    for other in sorted(table.cores):
+        core = table.cores[other]
+        if other == cpu:
+            return offset + 24 + 32 * index
+        offset += 24 + 32 * len(core.allocations) + 4 * len(core.slices)
+    raise KeyError(cpu)
+
+
+def one_core_system(*allocations):
+    core = CoreTable(cpu=0, length_ns=10_000, allocations=list(allocations))
+    system = SystemTable(length_ns=10_000, cores={0: core})
+    system.build_slices()
+    return system
+
+
+def inverted_record_payload():
+    """One record whose end (1_000) lies before its start (2_500)."""
+    system = one_core_system(Allocation(2_500, 5_000, "vm0.vcpu0"))
+    payload = bytearray(serialize(system))
+    struct.pack_into("<Q", payload, record_offset(system, 0, 0) + 8, 1_000)
+    return bytes(payload)
+
+
+def overlapping_records_payload():
+    """The second record (moved to start at 4_000) overlaps the first."""
+    system = one_core_system(
+        Allocation(0, 5_000, "vm0.vcpu0"), Allocation(5_000, 8_000, "vm1.vcpu0")
+    )
+    payload = bytearray(serialize(system))
+    struct.pack_into("<Q", payload, record_offset(system, 0, 1), 4_000)
+    return bytes(payload)
+
+
+def parallel_service_payload():
+    """vm0.vcpu0 on cpu 0 during [0, 5_000) and on cpu 1 during [2_500, 7_500).
+
+    Each core's records and slice records are valid on their own.
+    """
+    system = SystemTable(
+        length_ns=10_000,
+        cores={
+            0: CoreTable(
+                cpu=0, length_ns=10_000, allocations=[Allocation(0, 5_000, "vm0.vcpu0")]
+            ),
+            1: CoreTable(
+                cpu=1,
+                length_ns=10_000,
+                allocations=[Allocation(2_500, 7_500, "vm0.vcpu0")],
+            ),
+        },
+    )
+    return serialize(system)
+
+
 def slice_record_offsets(table):
     """Byte offsets of every slice record in ``serialize(table)``."""
     offset = 24 + sum(2 + len(name.encode()) for name in table.vcpu_names)
@@ -151,8 +209,9 @@ def slice_record_offsets(table):
     for cpu in sorted(table.cores):
         core = table.cores[cpu]
         offset += 24 + 32 * len(core.allocations)
-        offsets.extend(range(offset, offset + 8 * len(core.slices)))
-        offset += 8 * len(core.slices)
+        # The slice column is stored as is: 4-byte entries, two per slice.
+        offsets.extend(range(offset, offset + 4 * len(core.slices)))
+        offset += 4 * len(core.slices)
     return offsets
 
 
@@ -179,6 +238,37 @@ class TestHostilePayloads:
         assert hypercall.pushes == pushes
         assert hypercall.delta_generation == generation
         assert hypercall.retired_unactivated == 0
+
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [
+            (inverted_record_payload, "empty or inverted"),
+            (overlapping_records_payload, "overlaps its predecessor"),
+            (parallel_service_payload, "scheduled on two cores"),
+        ],
+    )
+    def test_structural_rejections_are_format_errors(self, payload, reason):
+        # The decoder is the one structural check of a full push: each of
+        # these raises TableFormatError, the type push_table documents and
+        # the daemon fails fast on, and leaves the hypercall untouched.
+        with pytest.raises(TableFormatError, match=reason):
+            deserialize(payload())
+        plan, sched, _ = build()
+        hypercall = TableHypercall(sched)
+        hypercall.push_system_table(plan.table)
+        serving = sched.table
+        staged = hypercall.staged_table
+        pushes = list(hypercall.pushes)
+        generation = hypercall.delta_generation
+        with pytest.raises(TableFormatError, match=reason):
+            hypercall.push_table(payload())
+        assert sched.table is serving
+        assert sched.pending_table is staged
+        assert hypercall.staged_table is staged
+        assert hypercall.pushes == pushes
+        assert hypercall.delta_generation == generation
+        assert hypercall.retired_unactivated == 0
+        assert hypercall.activations == 0
 
     def test_zero_length_table_rejected(self):
         # One idle core whose single slice spans the whole (empty) cycle:

@@ -1,9 +1,10 @@
 """Each slice table on the push path is derived once.
 
-Counts :meth:`CoreTable.build_slices` calls per core object: the
-decoder derives every pushed core's slice table, the dispatcher installs
-it without rebuilding, a delta push rebuilds only the cores it carries,
-and a table-cache rebind reuses the cached geometry.
+Counts :meth:`CoreTable.derive_slices` calls per core object (the one
+derivation; ``build_slices`` and the decoder both call it): the decoder
+derives every pushed core's slice table, the dispatcher installs it
+without rebuilding, a delta push rebuilds only the cores it carries, and
+a table-cache rebind reuses the cached geometry.
 """
 
 from collections import Counter
@@ -28,15 +29,15 @@ def census(count, prefix="vm", utilization=0.25, latency_ms=20):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Every core object ``build_slices`` ran on, in call order."""
+    """Every core object a slice table was derived on, in call order."""
     built = []
-    original = CoreTable.build_slices
+    original = CoreTable.derive_slices
 
-    def counting(self, min_slice_len_ns=1):
+    def counting(self, starts, ends, slice_len):
         built.append(self)
-        original(self, min_slice_len_ns)
+        original(self, starts, ends, slice_len)
 
-    monkeypatch.setattr(CoreTable, "build_slices", counting)
+    monkeypatch.setattr(CoreTable, "derive_slices", counting)
     return built
 
 
