@@ -20,7 +20,7 @@ and the warm store beats a cold one at equal parallelism.
 Historical note on the bars: before the columnar planner, planning was
 5.86s of a 6.75s serial run and the warm store delivered a >=3x
 wall-clock win over serial.  The columnar planner cut the serial plan
-phase to ~0.14s (module-level shape/core caches are shared across
+phase to ~0.14s (the module-level shape cache is shared across
 shards within one process), so on this single-CPU container the serial
 path now *beats* the pool — worker processes fork cold and re-pay
 process-cold planning.  The wall bar therefore moved to where the

@@ -31,7 +31,7 @@ from repro.core.table import SystemTable
 from repro.experiments.scenarios import build_scenario
 from repro.schedulers import TableauScheduler
 from repro.sim import ArrayTracer, Tracer
-from repro.topology import xeon_16core
+from repro.topology import uniform, xeon_16core
 from repro.workloads import IoLoop
 from repro.xen.daemon import PlannerDaemon
 from repro.xen.hypercall import TableHypercall
@@ -220,7 +220,7 @@ def bench_planner(repeats: int = 1) -> Dict[str, object]:
     over repeats) — the same load normalization the dispatch benchmarks
     use: the fastest repeat is the one least contaminated by host
     steal, and, because a fresh ``Planner`` still shares the module-
-    level shape/core caches, it reflects the daemon's warm steady state
+    level shape cache, it reflects the daemon's warm steady state
     rather than one-off process-cold costs.
     """
     table_digest: Optional[str] = None
@@ -252,6 +252,65 @@ def plan_fingerprint(result) -> str:
         for alloc in table.allocations:
             hasher.update(f"{cpu}:{alloc.start}:{alloc.end}:{alloc.vcpu};".encode())
     return hasher.hexdigest()
+
+
+#: ``bench_plan_methods`` censuses: ``(cores, [(U, L in ms), ...])``.
+#: Together they reach partitioning, C=D semi-partitioning and DP-WRAP
+#: clusters, coalescing moves budget in two of them, and the last has a
+#: dedicated (U = 1) vCPU.
+PLAN_METHOD_CENSUSES = [
+    # Partitioned; mixed latency goals give the peephole pass work.
+    (4, [(0.3, 2)] * 4 + [(0.5, 100)] * 4),
+    # Three 60% vCPUs on two cores: one is split C=D.
+    (2, [(0.6, 100)] * 3),
+    # C=D, and coalescing moves 9.9 us of vm1 per cycle.
+    (2, [(0.55, 1), (0.5, 2), (0.6, 1)]),
+    # vm0 fits no core and C=D fails: cores 0 and 1 form a cluster.
+    (3, [(0.75, 5), (0.4, 20), (0.75, 2), (0.3, 2), (0.65, 50)]),
+    # Both cores form the cluster; coalescing moves budget of vm3.
+    (2, [(0.45, 50), (0.35, 1), (0.5, 50), (0.7, 10)]),
+    # A dedicated core next to two shared ones.
+    (3, [(1.0, 1), (0.3, 2), (0.5, 100), (0.6, 10), (0.45, 5)]),
+]
+
+
+def bench_plan_methods() -> Dict[str, object]:
+    """Plan every ``PLAN_METHOD_CENSUSES`` entry, peephole off and on.
+
+    The fingerprint hashes each plan's method, cluster cores, every
+    allocation, the coalesce report and the peephole report, so it
+    freezes the output of every planning method, the peephole pass and
+    dedicated cores, which the one-method planner burst does not reach.
+    """
+    hasher = hashlib.sha256()
+    methods: Dict[str, int] = {}
+    plans = 0
+    start = time.perf_counter()
+    for cores, pairs in PLAN_METHOD_CENSUSES:
+        vms = [
+            make_vm(f"vm{i}", utilization, latency_ms * MS)
+            for i, (utilization, latency_ms) in enumerate(pairs)
+        ]
+        for peephole in (False, True):
+            result = Planner(uniform(cores), peephole=peephole).plan(vms)
+            plans += 1
+            stats = result.stats
+            methods[stats.method] = methods.get(stats.method, 0) + 1
+            hasher.update(f"{stats.method}:{stats.cluster_cores};".encode())
+            hasher.update(plan_fingerprint(result).encode())
+            report = stats.coalesce
+            hasher.update(
+                f"{sorted(report.lost_ns.items())}{sorted(report.gained_ns.items())}"
+                f"{report.merged_count}:{report.dropped_count};".encode()
+            )
+            hasher.update(f"{stats.peephole};".encode())
+    wall = time.perf_counter() - start
+    return {
+        "plans": plans,
+        "methods": methods,
+        "wall_s": round(wall, 4),
+        "fingerprint": hasher.hexdigest(),
+    }
 
 
 def bench_daemon_regeneration(cycles: int = 8) -> Dict[str, object]:

@@ -27,6 +27,7 @@ from hotpath import (
     bench_daemon_regeneration,
     bench_dispatch,
     bench_dispatch_backends,
+    bench_plan_methods,
     bench_plan_transport,
     bench_planner,
     bench_planner_delta,
@@ -39,6 +40,8 @@ from repro.topology import xeon_16core
 #: must reproduce them bit for bit.
 DISPATCH_FINGERPRINT_PREFIX = "eb99ea934a2278f6"
 PLAN_FINGERPRINT_PREFIX = "478c6f53501c6324"
+#: The every-method plan set of ``bench_plan_methods``.
+PLAN_METHODS_FINGERPRINT_PREFIX = "df1fc300831db935"
 
 
 def test_dispatch_throughput():
@@ -243,3 +246,13 @@ def test_incremental_replan_hits_core_cache():
     planner.plan([make_vm(f"vm{i:02d}", 0.25, 20 * MS) for i in range(41)])
     assert planner.core_cache_hits > 0
     assert planner.core_cache_misses - misses_first < misses_first
+
+
+def test_plan_methods_digest_is_frozen():
+    result = bench_plan_methods()
+    assert result["methods"] == {
+        "partitioned": 4,
+        "semi-partitioned": 4,
+        "clustered": 4,
+    }
+    assert result["fingerprint"].startswith(PLAN_METHODS_FINGERPRINT_PREFIX)

@@ -1,49 +1,131 @@
-"""Columnar per-core table materialization (the planner's hot kernel).
+"""Columnar per-core table materialization (the planner's one core pipeline).
 
-This is the planning-side mirror of :mod:`repro.sim.arraycore`: the
-per-core pipeline (EDF simulation, budget validation, piece renaming,
-adjacent merging, threshold coalescing) rewritten over flat ``array('q')``
-columns with integer task handles.  No ``_Job`` objects, no tuple heap —
-the ready queue holds packed integers (``deadline * total_jobs + seq``)
-and job state lives in three parallel columns indexed by release
-sequence number.
+This is the planning-side mirror of :mod:`repro.sim.arraycore`: every
+core table the planner produces comes out of :func:`materialize_core`,
+which runs Sec. 5's per-core pipeline in order:
 
-The output is bit-identical to the object pipeline in
-:func:`repro.core.edf.simulate_edf` + :func:`repro.core.planner`'s rename
-and :func:`repro.core.postprocess.coalesce` — the differential suite in
-``tests/core/test_columnar_edf.py`` holds both paths equal — but it
-builds the final :class:`~repro.core.table.CoreTable` segment columns
-directly in the :meth:`~repro.core.table.CoreTable.as_arrays` layout, so
-the dispatcher's array engine and the ``'TBLA'`` serializer consume the
-planner's own columns with no re-derivation.
+1. the EDF kernel, over flat ``array('q')`` columns with integer task
+   handles (the ready queue holds packed integers, ``deadline *
+   total_jobs + seq``, and job state lives in three parallel columns
+   indexed by release sequence number);
+2. the budget validation of those columns against the tasks;
+3. the peephole pass, when asked for (it stays object-based: it reads
+   the kernel's piece-level columns as allocations and writes columns
+   back);
+4. piece renaming (``vm0.vcpu0#1`` -> ``vm0.vcpu0``) with adjacent
+   merging;
+5. threshold coalescing.
+
+A DP-WRAP cluster core enters at stage 4 with its layout.  The result is
+a name-free :class:`CoreRecord` that refers to vCPUs only by base index,
+so it is cached by task *shape* and serves every core, in any planner,
+whose tasks differ only in names; :meth:`CoreRecord.bind` labels it.
+The output equals the object pipeline of
+:func:`repro.core.edf.simulate_edf`,
+:func:`repro.core.table.validate_against_tasks`,
+:func:`repro.core.peephole.optimize_core`, the piece rename and
+:func:`repro.core.postprocess.coalesce` — the differential suite in
+``tests/core/test_columnar_edf.py`` holds the two equal — and its segment
+columns are already the :meth:`~repro.core.table.CoreTable.as_arrays`
+layout, so the dispatcher's array engine and the ``'TBLA'`` serializer
+consume the planner's own columns with no re-derivation.
 """
 
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.peephole import PeepholeReport, optimize_core
 from repro.core.postprocess import CoalesceReport
 from repro.core.table import Allocation, CoreTable
 from repro.core.tasks import PeriodicTask
 from repro.errors import ConfigurationError, PlanningError
 from repro.hotpath import coldpath, hotpath
 
-#: Structural memo for :func:`materialize_core_columns`.  The segment
-#: columns are a pure function of the task *shape* — the per-task
-#: (period, cost, deadline, offset) columns plus the piece->base-vCPU
-#: grouping — never of the vCPU names or the core id, which only label
-#: the result.  Cores across a census (and across planner instances)
-#: overwhelmingly share shapes: a VM-create burst of identical tiers
-#: differs core-to-core only in names, so one EDF simulation serves all
-#: of them.  Cached per shape: the final allocation columns, the shared
-#: (immutable-by-contract) ``as_arrays`` segment arrays, and the
-#: coalesce accounting keyed by base-vCPU *index* so a hit can replay it
-#: under the core's actual names.  Only successful materializations are
-#: cached — failures re-run so diagnostics carry the right task names.
-_SHAPE_CACHE: Dict[tuple, tuple] = {}
+#: Structural memo for :func:`materialize_core`.  A core's record is a
+#: pure function of the task *shape* — the per-task (period, cost,
+#: deadline, offset) columns plus the piece->base-vCPU grouping — and of
+#: the horizon, threshold and peephole knob, never of the vCPU names or
+#: the core id, which only label it.  Cores across a census (and across
+#: planner instances) overwhelmingly share shapes: a VM-create burst of
+#: identical tiers differs core-to-core only in names, so one pipeline
+#: run serves all of them.  Only successful materializations are cached
+#: — failures re-run so diagnostics carry the right task names.
+_SHAPE_CACHE: Dict[tuple, "CoreRecord"] = {}
 _SHAPE_CACHE_SIZE = 1024
+
+
+@dataclass
+class CoreRecord:
+    """One core's finished table, free of vCPU names and of the core id.
+
+    vCPUs appear only as *base indices*: positions in the core's base-name
+    list (:func:`base_names_of`).  Per-vCPU columns are indexed by base
+    index; entries of a vCPU the core does not serve are never read.
+    """
+
+    length_ns: int
+    #: Gap-free segment columns in the :meth:`CoreTable.as_arrays` layout
+    #: (base index per segment, ``-1`` = idle); an allocation per served
+    #: segment.
+    seg_starts: array
+    seg_ends: array
+    seg_ids: array
+    min_alloc_ns: Optional[int]
+    #: Coalesce accounting, keyed by base index.
+    coalesce: CoalesceReport
+    peephole: Optional[PeepholeReport]
+    #: Served base indices in first-allocation order — the order
+    #: ``SystemTable._rebuild_index`` discovers the vCPUs in.
+    order: List[int]
+    #: Audit aggregates per base index: first start, total service, last
+    #: end, and the largest internal service gap (touching allocations
+    #: merged, as in ``SystemTable.max_blackout_ns``; the wrap-around gap
+    #: is derived from first start and last end at audit time).
+    first_starts: List[int]
+    allocated: List[int]
+    last_ends: List[int]
+    max_gaps: List[int]
+
+    def bind(self, cpu: int, names: List[str]) -> "BoundCore":
+        """Label the record: ``names[i]`` is base index ``i`` on ``cpu``."""
+        allocations = [
+            Allocation(start, end, names[vcpu])
+            for start, end, vcpu in zip(self.seg_starts, self.seg_ends, self.seg_ids)
+            if vcpu >= 0
+        ]
+        table = CoreTable(
+            cpu=cpu,
+            length_ns=self.length_ns,
+            allocations=allocations,
+            _seg_starts=self.seg_starts,
+            _seg_ends=self.seg_ends,
+            _seg_local=self.seg_ids,
+            _seg_names=names,
+            _min_alloc_ns=self.min_alloc_ns,
+        )
+        report = self.coalesce
+        coalesce = CoalesceReport(
+            lost_ns={names[k]: v for k, v in report.lost_ns.items()},
+            gained_ns={names[k]: v for k, v in report.gained_ns.items()},
+            merged_count=report.merged_count,
+            dropped_count=report.dropped_count,
+        )
+        return BoundCore(table, coalesce, names, self)
+
+
+@dataclass
+class BoundCore:
+    """A :class:`CoreRecord` under its core's vCPU names."""
+
+    table: CoreTable
+    coalesce: CoalesceReport
+    #: Base-vCPU names; ``names[i]`` labels the record's base index ``i``.
+    names: List[str]
+    record: CoreRecord
 
 
 @coldpath
@@ -223,6 +305,27 @@ def _validate_columns(
                 )
 
 
+def _peephole(
+    seg_ends: array,
+    seg_ids: array,
+    tasks: Sequence[PeriodicTask],
+    horizon: int,
+    cpu: int,
+) -> Tuple[array, array, PeepholeReport]:
+    """The peephole stage: :func:`optimize_core` over the kernel's columns.
+
+    The piece-level columns become allocations named after the tasks
+    (the table ``simulate_edf`` builds), the pass rewrites them, and the
+    result goes back to columns indexed by task position.
+    """
+    names = [task.name for task in tasks]
+    table = core_table_from_columns(cpu, horizon, seg_ends, seg_ids, names)
+    optimized, report = optimize_core(table, tasks)
+    index_of = {name: index for index, name in enumerate(names)}
+    _starts, ends, ids = optimized.as_arrays(index_of.__getitem__)
+    return ends, ids, report
+
+
 def _rename_merge(
     seg_ends: array,
     seg_ids: array,
@@ -231,10 +334,10 @@ def _rename_merge(
 ) -> Tuple[List[int], List[int], List[int]]:
     """Rename piece ids to base-vCPU ids and merge touching same-id runs.
 
-    Equivalent to the planner's piece-suffix rename followed by the
-    first ``merge_adjacent`` pass inside ``coalesce`` (merges are
-    counted identically).  Returns mutable parallel lists (idle gaps
-    dropped — idle is implicit between allocations).
+    Equivalent to the piece-suffix rename followed by the first
+    ``merge_adjacent`` pass inside ``coalesce`` (merges are counted
+    identically).  Returns mutable parallel lists (idle gaps dropped —
+    idle is implicit between allocations).
     """
     starts: List[int] = []
     ends: List[int] = []
@@ -260,7 +363,6 @@ def _coalesce_columns(
     starts: List[int],
     ends: List[int],
     ids: List[int],
-    base_names: List[str],
     threshold_ns: int,
     report: CoalesceReport,
 ) -> Tuple[List[int], List[int], List[int]]:
@@ -269,8 +371,9 @@ def _coalesce_columns(
     The fixed-point structure (merge pass, first sub-threshold victim,
     absorb/donate/drop, restart) is replicated literally so merge and
     transfer accounting — and therefore the final table — match the
-    object pass bit for bit.  The caller is expected to have run the
-    first merge pass already (:func:`_rename_merge`).
+    object pass bit for bit.  Transfers are recorded by base index.  The
+    caller is expected to have run the first merge pass already
+    (:func:`_rename_merge`).
     """
     while True:
         changed = False
@@ -293,26 +396,18 @@ def _coalesce_columns(
                 next_len = ends[index + 1] - starts[index + 1]
                 if prev_len >= next_len:
                     ends[index - 1] = ends[index]
-                    report.record_transfer(
-                        base_names[vcpu], base_names[ids[index - 1]], length
-                    )
+                    report.record_transfer(vcpu, ids[index - 1], length)
                 else:
                     starts[index + 1] = starts[index]
-                    report.record_transfer(
-                        base_names[vcpu], base_names[ids[index + 1]], length
-                    )
+                    report.record_transfer(vcpu, ids[index + 1], length)
             elif prev_touches:
                 ends[index - 1] = ends[index]
-                report.record_transfer(
-                    base_names[vcpu], base_names[ids[index - 1]], length
-                )
+                report.record_transfer(vcpu, ids[index - 1], length)
             elif next_touches:
                 starts[index + 1] = starts[index]
-                report.record_transfer(
-                    base_names[vcpu], base_names[ids[index + 1]], length
-                )
+                report.record_transfer(vcpu, ids[index + 1], length)
             else:
-                report.record_transfer(base_names[vcpu], None, length)
+                report.record_transfer(vcpu, None, length)
                 report.dropped_count += 1
             del starts[index]
             del ends[index]
@@ -336,32 +431,75 @@ def _coalesce_columns(
         starts, ends, ids = merged_s, merged_e, merged_i
 
 
-def _segment_columns(
+def _record(
     starts: List[int],
     ends: List[int],
     ids: List[int],
+    num_bases: int,
     horizon: int,
-) -> Tuple[array, array, array]:
-    """Gap-free ``as_arrays`` columns from the final allocation lists."""
+    cpu: int,
+    coalesce: CoalesceReport,
+    peephole: Optional[PeepholeReport],
+) -> CoreRecord:
+    """One pass over the final allocations: layout check, segment
+    columns, shortest allocation and the per-vCPU audit aggregates."""
     seg_starts = array("q")
     seg_ends = array("q")
     seg_ids = array("q")
+    order: List[int] = []
+    first_starts = [0] * num_bases
+    allocated = [0] * num_bases
+    last_ends = [-1] * num_bases
+    max_gaps = [0] * num_bases
+    shortest: Optional[int] = None
     cursor = 0
-    for k in range(len(starts)):
-        start = starts[k]
+    for start, end, vcpu in zip(starts, ends, ids):
+        if start < cursor:
+            raise PlanningError(
+                f"cpu{cpu}: allocation [{start}, {end}) overlaps its "
+                f"predecessor ending at {cursor}"
+            )
+        if end > horizon:
+            raise PlanningError(
+                f"cpu{cpu}: allocation [{start}, {end}) exceeds table "
+                f"length {horizon}"
+            )
         if start > cursor:
             seg_starts.append(cursor)
             seg_ends.append(start)
             seg_ids.append(-1)
         seg_starts.append(start)
-        seg_ends.append(ends[k])
-        seg_ids.append(ids[k])
-        cursor = ends[k]
+        seg_ends.append(end)
+        seg_ids.append(vcpu)
+        length = end - start
+        if shortest is None or length < shortest:
+            shortest = length
+        if last_ends[vcpu] < 0:
+            order.append(vcpu)
+            first_starts[vcpu] = start
+        elif start - last_ends[vcpu] > max_gaps[vcpu]:
+            max_gaps[vcpu] = start - last_ends[vcpu]
+        allocated[vcpu] += length
+        last_ends[vcpu] = end
+        cursor = end
     if cursor < horizon:
         seg_starts.append(cursor)
         seg_ends.append(horizon)
         seg_ids.append(-1)
-    return seg_starts, seg_ends, seg_ids
+    return CoreRecord(
+        length_ns=horizon,
+        seg_starts=seg_starts,
+        seg_ends=seg_ends,
+        seg_ids=seg_ids,
+        min_alloc_ns=shortest,
+        coalesce=coalesce,
+        peephole=peephole,
+        order=order,
+        first_starts=first_starts,
+        allocated=allocated,
+        last_ends=last_ends,
+        max_gaps=max_gaps,
+    )
 
 
 def base_names_of(tasks: Sequence[PeriodicTask]) -> Tuple[List[str], List[int]]:
@@ -380,91 +518,65 @@ def base_names_of(tasks: Sequence[PeriodicTask]) -> Tuple[List[str], List[int]]:
     return base_names, base_of
 
 
-def materialize_core_columns(
-    core: int,
+def materialize_core(
     tasks: Sequence[PeriodicTask],
     horizon: int,
     threshold_ns: int,
-) -> Tuple[CoreTable, CoalesceReport]:
-    """The full columnar per-core pipeline.
+    peephole: bool = False,
+    cpu: int = 0,
+    layout: Optional[Tuple[array, array]] = None,
+) -> CoreRecord:
+    """The per-core pipeline: the one producer of a planner core table.
 
-    EDF simulation, budget validation, piece renaming and coalescing all
-    run over integer columns; :class:`Allocation` objects are built once,
-    from the final columns.  The returned table carries its segment
-    columns (``_seg_*``) so ``as_arrays()`` and the ``'TBLA'`` serializer
-    are zero-copy.
+    Runs the EDF kernel, the column validation, the peephole pass (with
+    ``peephole``), rename/merge and coalescing, and returns the
+    name-free record, cached by task shape.  ``layout`` — gap-free
+    ``(ends, task indices)`` columns, as a DP-WRAP cluster core's
+    :meth:`CoreTable.as_arrays` — replaces the first three stages; such
+    a record is not cached.  ``cpu`` only labels diagnostics.
     """
     base_names, base_of = base_names_of(tasks)
-    shape = (
-        horizon,
-        threshold_ns,
-        tuple(base_of),
-        tuple(
-            (task.period, task.cost, task.deadline or task.period, task.offset)
-            for task in tasks
-        ),
-    )
-    cached = _SHAPE_CACHE.get(shape)
-    if cached is not None:
-        starts, ends, ids, seg_columns, lost, gained, merged, dropped = cached
-        report = CoalesceReport(
-            lost_ns={base_names[k]: v for k, v in lost},
-            gained_ns={base_names[k]: v for k, v in gained},
-            merged_count=merged,
-            dropped_count=dropped,
+    shape = None
+    peephole_report: Optional[PeepholeReport] = None
+    if layout is None:
+        shape = (
+            horizon,
+            threshold_ns,
+            peephole,
+            tuple(base_of),
+            tuple(
+                (task.period, task.cost, task.deadline or task.period, task.offset)
+                for task in tasks
+            ),
         )
-        allocations = [
-            Allocation(starts[k], ends[k], base_names[ids[k]])
-            for k in range(len(starts))
-        ]
-        table = CoreTable(cpu=core, length_ns=horizon, allocations=allocations)
-        # Layout was validated when the shape was first materialized.
-        table.attach_columns(*seg_columns, base_names)
-        return table, report
-
-    names = [task.name for task in tasks]
-    packed, costs, deadlines = _packed_releases(tasks, horizon)
-    seg_ends = array("q")
-    seg_ids = array("q")
-    _edf_kernel(
-        packed, costs, deadlines, len(tasks), horizon, names, core,
-        seg_ends, seg_ids,
+        cached = _SHAPE_CACHE.get(shape)
+        if cached is not None:
+            return cached
+        packed, costs, deadlines = _packed_releases(tasks, horizon)
+        seg_ends = array("q")
+        seg_ids = array("q")
+        _edf_kernel(
+            packed, costs, deadlines, len(tasks), horizon,
+            [task.name for task in tasks], cpu, seg_ends, seg_ids,
+        )
+        _validate_columns(seg_ends, seg_ids, tasks, horizon, cpu)
+        if peephole:
+            seg_ends, seg_ids, peephole_report = _peephole(
+                seg_ends, seg_ids, tasks, horizon, cpu
+            )
+    else:
+        seg_ends, seg_ids = layout
+    coalesce = CoalesceReport()
+    starts, ends, ids = _rename_merge(seg_ends, seg_ids, base_of, coalesce)
+    starts, ends, ids = _coalesce_columns(starts, ends, ids, threshold_ns, coalesce)
+    record = _record(
+        starts, ends, ids, len(base_names), horizon, cpu, coalesce, peephole_report
     )
-    _validate_columns(seg_ends, seg_ids, tasks, horizon, core)
-    # Run rename + coalesce with base *indices* standing in for names, so
-    # the transfer accounting is name-free and replayable on shape hits.
-    index_report = CoalesceReport()
-    starts, ends, ids = _rename_merge(seg_ends, seg_ids, base_of, index_report)
-    starts, ends, ids = _coalesce_columns(
-        starts, ends, ids, list(range(len(base_names))), threshold_ns, index_report
-    )
-    report = CoalesceReport(
-        lost_ns={base_names[k]: v for k, v in index_report.lost_ns.items()},
-        gained_ns={base_names[k]: v for k, v in index_report.gained_ns.items()},
-        merged_count=index_report.merged_count,
-        dropped_count=index_report.dropped_count,
-    )
-    allocations = [
-        Allocation(starts[k], ends[k], base_names[ids[k]])
-        for k in range(len(starts))
-    ]
-    table = CoreTable(cpu=core, length_ns=horizon, allocations=allocations)
-    table.validate_layout()
-    seg_columns = _segment_columns(starts, ends, ids, horizon)
-    table.attach_columns(*seg_columns, base_names)
-    if len(_SHAPE_CACHE) >= _SHAPE_CACHE_SIZE:
-        _SHAPE_CACHE.clear()
-    _SHAPE_CACHE[shape] = (
-        tuple(starts),
-        tuple(ends),
-        tuple(ids),
-        seg_columns,
-        tuple(index_report.lost_ns.items()),
-        tuple(index_report.gained_ns.items()),
-        index_report.merged_count,
-        index_report.dropped_count,
-    )
-    return table, report
+    if shape is not None:
+        if len(_SHAPE_CACHE) >= _SHAPE_CACHE_SIZE:
+            _SHAPE_CACHE.clear()
+        _SHAPE_CACHE[shape] = record
+    return record
 
 
 def core_table_from_columns(
@@ -479,7 +591,9 @@ def core_table_from_columns(
     The inverse of :meth:`CoreTable.as_arrays` for planner-produced
     tables (which never contain explicit idle allocation records):
     every segment with a non-negative handle becomes one allocation.
-    Used by the delta table push and the columnar process-pool workers.
+    Used by the peephole stage and by the delta table push, whose
+    decoder has already checked the columns (ends rising strictly to
+    ``length_ns``, handles in range).
     """
     allocations: List[Allocation] = []
     seg_starts = array("q")
@@ -504,7 +618,6 @@ def core_table_from_columns(
             seg_ids.append(-1)
         cursor = end
     table = CoreTable(cpu=cpu, length_ns=length_ns, allocations=allocations)
-    table.validate_layout()
     table.attach_columns(seg_starts, array("q", ends), seg_ids, local_names)
     return table
 
@@ -518,8 +631,10 @@ def estimate_jobs(tasks: Sequence[PeriodicTask], horizon: int) -> int:
 
 
 __all__ = [
+    "BoundCore",
+    "CoreRecord",
     "base_names_of",
     "core_table_from_columns",
     "estimate_jobs",
-    "materialize_core_columns",
+    "materialize_core",
 ]

@@ -23,7 +23,7 @@ the whole construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.edf import merge_segments
 from repro.core.table import CoreTable
@@ -206,9 +206,9 @@ def _validate_fluid_deadlines(
 
 
 def grow_cluster(
-    core_loads: Dict[int, float],
+    core_loads: Dict[int, Union[float, Fraction]],
     sockets: Optional[Dict[int, int]],
-    demand: float,
+    demand: Union[float, Fraction],
 ) -> List[int]:
     """Pick a minimal set of cores whose combined slack covers ``demand``.
 
@@ -216,14 +216,15 @@ def grow_cluster(
     from the least-loaded core and keep adding the least-loaded remaining
     core — preferring cores on the same socket, since those share a cache
     and migrations between them are cheap — until the cluster's total
-    slack reaches the demand.
+    slack reaches the demand.  Slack is summed in the loads' own type, so
+    :class:`~fractions.Fraction` loads compare exactly.
     """
     remaining = dict(core_loads)
     if not remaining:
         raise PlanningError("no cores available for clustering")
     seed = min(remaining, key=lambda c: (remaining[c], c))
     cluster = [seed]
-    slack = 1.0 - remaining.pop(seed)
+    slack = 1 - remaining.pop(seed)
     while slack < demand and remaining:
         if sockets is not None:
             cluster_sockets = {sockets[c] for c in cluster}
@@ -233,10 +234,10 @@ def grow_cluster(
             pool = list(remaining)
         chosen = min(pool, key=lambda c: (remaining[c], c))
         cluster.append(chosen)
-        slack += 1.0 - remaining.pop(chosen)
+        slack += 1 - remaining.pop(chosen)
     if slack < demand:
         raise PlanningError(
-            f"even a cluster of all cores lacks capacity: slack {slack:.4f} "
-            f"< demand {demand:.4f}"
+            f"even a cluster of all cores lacks capacity: slack "
+            f"{float(slack):.4f} < demand {float(demand):.4f}"
         )
     return sorted(cluster)

@@ -41,6 +41,12 @@ class PeepholeReport:
     def preemptions_removed(self) -> int:
         return self.preemptions_before - self.preemptions_after
 
+    def merge(self, other: "PeepholeReport") -> None:
+        self.swaps_applied += other.swaps_applied
+        self.swaps_rejected += other.swaps_rejected
+        self.preemptions_before += other.preemptions_before
+        self.preemptions_after += other.preemptions_after
+
 
 def _swap_adjacent(
     allocations: Sequence[Allocation], index: int

@@ -18,51 +18,48 @@ the array dispatch engine plays back the planner's segment columns
 directly and the object scheduler builds slices at install time, so
 eager slice construction on every replan was pure waste.
 
-Replanning is incremental at three levels.  Per-core tables are memoized
-by exact task set (`_core_cache`), so a census that changes one VM only
-re-simulates the cores WFD actually repacked.  Whole plans are memoized
-by exact census + knobs (`_plan_memo`), so the daemon's periodic
-same-census regeneration is a lookup.  And every result reports
-``stats.changed_cores`` — the cores whose tables differ from the
-previous plan — which is what lets the daemon push per-core column
-deltas instead of full tables.
+Every core table — WFD and C=D cores, peephole cores, dedicated cores
+and DP-WRAP cluster cores — comes out of one per-core pipeline,
+:func:`repro.core.edfcore.materialize_core`.  Replanning is incremental
+at three levels.  Per-core tables are memoized by exact task set
+(`_core_cache`), so a census that changes one VM only reruns the cores
+WFD actually repacked; a core whose tasks differ from an earlier one
+only in names is rebound from the pipeline's process-wide shape cache.
+Whole plans are memoized by exact census + knobs (`_plan_memo`), so the
+daemon's periodic same-census regeneration is a lookup.  And every
+result reports ``stats.changed_cores`` — the cores whose tables differ
+from the previous plan — which is what lets the daemon push per-core
+column deltas instead of full tables.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.admission import AdmissionReport, admit_or_raise
 from repro.core.affinity import CoschedulingPolicy, constrained_worst_fit
 from repro.core.edfcore import (
-    core_table_from_columns,
+    BoundCore,
+    CoreRecord,
+    base_names_of,
     estimate_jobs,
-    materialize_core_columns,
+    materialize_core,
 )
 from repro.core.optimal import dp_wrap_schedule, grow_cluster
 from repro.core.params import VCpuSpec, VMSpec, flatten_vcpus
 from repro.core.numa import NumaReport, numa_worst_fit
 from repro.core.partition import worst_fit_decreasing
-from repro.core.peephole import PeepholeReport, optimize_core
+from repro.core.peephole import PeepholeReport
 from repro.core.periods import HYPERPERIOD_NS, MIN_PERIOD_NS
-from repro.core.postprocess import (
-    DEFAULT_COALESCE_NS,
-    CoalesceReport,
-    coalesce,
-)
+from repro.core.postprocess import DEFAULT_COALESCE_NS, CoalesceReport
 from repro.core.serialize import table_size_bytes
 from repro.core.splitting import DEFAULT_MIN_PIECE_NS, semi_partition
-from repro.core.table import (
-    Allocation,
-    CoreTable,
-    SystemTable,
-    validate_against_tasks,
-)
+from repro.core.table import CoreTable, SystemTable
 from repro.core.tasks import PeriodicTask, vcpu_to_task
 from repro.errors import AdmissionError, PlanningError
 from repro.topology import Topology, uniform
@@ -90,76 +87,8 @@ PLAN_MEMO_SIZE = 4
 #: vCPU -> task conversion memo bound (cleared wholesale when full).
 TASK_CACHE_SIZE = 4096
 
-#: Process-wide core-record memo (cleared wholesale when full).  The
-#: per-core key (see :meth:`Planner._core_key`) captures every input the
-#: materialization reads, so a finished record is valid for *any*
-#: planner instance — a restarted daemon or a service spawning a fresh
-#: planner re-derives nothing the process has already computed.  Each
-#: planner still keeps its own LRU (`_core_cache`) for hit accounting
-#: and identity-stable reissue; this layer only backstops its misses.
-_SHARED_CORE_CACHE: Dict[Tuple, "_CoreRecord"] = {}
-_SHARED_CORE_CACHE_SIZE = 4096
-
-
-@dataclass
-class _CoreFragment:
-    """Per-core aggregates the assembly and audit stages need.
-
-    One entry per vCPU with service on the core, in first-allocation
-    order — exactly the order ``SystemTable._rebuild_index`` would have
-    discovered them.  Carrying these with the memoized core table makes
-    index assembly and the guarantee audit O(vCPUs) instead of
-    O(allocations) per plan.
-    """
-
-    names: List[str]
-    first_starts: List[int]
-    allocated: List[int]
-    last_ends: List[int]
-    #: Largest internal service gap (touching allocations merged, as in
-    #: ``SystemTable.max_blackout_ns``); the wrap-around gap is derived
-    #: from ``first_starts``/``last_ends`` at audit time.
-    max_gaps: List[int]
-
-
-def _fragment_of(table: CoreTable) -> _CoreFragment:
-    """One pass over a finished core table -> its audit aggregates."""
-    names: List[str] = []
-    index: Dict[str, int] = {}
-    first_starts: List[int] = []
-    allocated: List[int] = []
-    last_ends: List[int] = []
-    max_gaps: List[int] = []
-    for alloc in table.allocations:
-        name = alloc.vcpu
-        if name is None:
-            continue
-        slot = index.get(name)
-        if slot is None:
-            index[name] = len(names)
-            names.append(name)
-            first_starts.append(alloc.start)
-            allocated.append(alloc.end - alloc.start)
-            last_ends.append(alloc.end)
-            max_gaps.append(0)
-        else:
-            gap = alloc.start - last_ends[slot]
-            if gap > max_gaps[slot]:
-                max_gaps[slot] = gap
-            allocated[slot] += alloc.end - alloc.start
-            last_ends[slot] = alloc.end
-    return _CoreFragment(names, first_starts, allocated, last_ends, max_gaps)
-
-
-@dataclass
-class _CoreRecord:
-    """Cached outcome of materializing one core's task set."""
-
-    table: CoreTable
-    coalesce: CoalesceReport
-    peephole: Optional[PeepholeReport]
-    fragment: _CoreFragment
-
+#: Cache-miss cores awaiting the pipeline: (core, tasks, core-cache key).
+_Pending = List[Tuple[int, List[PeriodicTask], Tuple]]
 
 @dataclass
 class CensusDelta:
@@ -233,10 +162,8 @@ class Planner:
             anti-affinity groups; Sec. 5's "encourage or discourage
             co-scheduling" post-processing extension).
         peephole: Run the preemption-reducing peephole pass on every
-            core table (Sec. 5's suggested optimization).  Peephole
-            plans take the object materialization path (the pass
-            operates on allocation objects); everything else runs the
-            columnar kernels.
+            core table (Sec. 5's suggested optimization), as a stage of
+            the per-core pipeline.
         split_compensation: Inflate the utilization of vCPUs that ended
             up split across cores by this fraction, compensating their
             migration overhead (Sec. 7.5's suggested remedy); applied in
@@ -257,9 +184,9 @@ class Planner:
 
     The planner memoizes at two levels: finished core tables keyed by
     the exact task set handed to a core (so replanning an incrementally
-    changed census only re-simulates cores whose task sets actually
-    changed), and whole plans keyed by the exact census plus every knob
-    (so periodic same-census regeneration is a dictionary lookup).
+    changed census only reruns cores whose task sets actually changed),
+    and whole plans keyed by the exact census plus every knob (so
+    periodic same-census regeneration is a dictionary lookup).
     """
 
     def __init__(
@@ -292,14 +219,13 @@ class Planner:
         self.numa = numa
         self.parallel = parallel
         self.last_numa_report: Optional[NumaReport] = None
-        self._core_cache: "OrderedDict[Tuple, _CoreRecord]" = OrderedDict()
+        self._core_cache: "OrderedDict[Tuple, BoundCore]" = OrderedDict()
         self.core_cache_hits = 0
         self.core_cache_misses = 0
         self._plan_memo: "OrderedDict[Tuple, PlanResult]" = OrderedDict()
         self.plan_memo_hits = 0
         self.plan_memo_misses = 0
         self._task_cache: Dict[VCpuSpec, PeriodicTask] = {}
-        self._dedicated_cache: Dict[Tuple[int, str], CoreTable] = {}
         #: Core tables of the previous plan, for changed-core detection
         #: (allocation-list identity: the core memo shares allocation
         #: lists across reissues, so `is` equality means byte equality).
@@ -456,32 +382,32 @@ class Planner:
         assignment, method, cluster_cores, split_count = self._assign(
             tasks, shared_cores
         )
-
-        core_tables, report, peephole_report, fragments = self._materialize(
-            assignment, cluster_cores
-        )
+        task_index = {t.name: t for t in tasks}
+        per_core = dict(assignment)
+        cluster_tasks = per_core.pop("__cluster__", None)
+        # A dedicated vCPU is a one-task core whose job fills the table.
         horizon = self.hyperperiod_ns
         for vcpu, core in zip(dedicated, dedicated_cores):
-            core_tables[core] = self._dedicated_table(core, vcpu.name)
-            fragments[core] = _CoreFragment(
-                [vcpu.name], [0], [horizon], [horizon], [0]
+            task = PeriodicTask(
+                name=vcpu.name, cost=horizon, period=horizon, vcpu=vcpu
             )
+            task_index[vcpu.name] = task
+            per_core[core] = [task]
 
-        system, info = self._assemble(core_tables, fragments)
+        cores = self._materialize(per_core, cluster_tasks, cluster_cores)
+        report = CoalesceReport()
+        peephole_report = PeepholeReport(0, 0, 0, 0) if self.peephole else None
+        for core in cores.values():
+            report.merge(core.coalesce)
+            part = core.record.peephole
+            if peephole_report is not None and part is not None:
+                peephole_report.merge(part)
+        system, info = self._assemble(cores)
         self._validate_assembled(system)
+        self._check_guarantees(system.cores, vcpus, task_index, info)
 
-        task_index = {t.name: t for t in tasks}
-        for vcpu in dedicated:
-            task_index[vcpu.name] = PeriodicTask(
-                name=vcpu.name,
-                cost=self.hyperperiod_ns,
-                period=self.hyperperiod_ns,
-                vcpu=vcpu,
-            )
-        self._check_guarantees(core_tables, vcpus, task_index, info)
-
-        changed = self._diff_tables(core_tables)
-        self._last_tables = core_tables
+        changed = self._diff_tables(system.cores)
+        self._last_tables = system.cores
 
         stats = PlanStats(
             method=method,
@@ -602,26 +528,6 @@ class Planner:
             tasks.append(task)
         return tasks
 
-    def _dedicated_table(self, core: int, name: str) -> CoreTable:
-        """Memoized single-allocation table for a dedicated vCPU.
-
-        Reusing the object keeps unchanged dedicated cores identity-
-        stable across plans, so they never show up in changed-core
-        diffs (and never get re-pushed by the delta path).
-        """
-        key = (core, name)
-        table = self._dedicated_cache.get(key)
-        if table is None:
-            if len(self._dedicated_cache) >= TASK_CACHE_SIZE:
-                self._dedicated_cache.clear()
-            table = CoreTable(
-                cpu=core,
-                length_ns=self.hyperperiod_ns,
-                allocations=[Allocation(0, self.hyperperiod_ns, name)],
-            )
-            self._dedicated_cache[key] = table
-        return table
-
     def _assign(
         self, tasks: Sequence[PeriodicTask], cores: Sequence[int]
     ):
@@ -667,12 +573,14 @@ class Planner:
             )
 
         # Localized optimal scheduling: restart from the plain partition and
-        # cover the leftovers with a minimal DP-WRAP cluster.
+        # cover the leftovers with a minimal DP-WRAP cluster.  Loads are
+        # exact, as in DP-WRAP itself: a float sum can round a cluster at
+        # exactly full capacity below its demand.
         loads = {
-            core: sum(t.utilization for t in partitioned.assignment[core])
+            core: sum(Fraction(t.cost, t.period) for t in partitioned.assignment[core])
             for core in cores
         }
-        demand = sum(t.utilization for t in partitioned.unassigned)
+        demand = sum(Fraction(t.cost, t.period) for t in partitioned.unassigned)
         cluster = grow_cluster(loads, self.topology.socket_map, demand)
         assignment = {
             core: list(ts)
@@ -687,86 +595,70 @@ class Planner:
         assignment["__cluster__"] = cluster_tasks  # type: ignore[index]
         return assignment, METHOD_CLUSTERED, cluster, 0
 
-    def _materialize(self, assignment, cluster_cores):
-        """Simulate schedules, rename task pieces to vCPUs, coalesce.
+    def _materialize(
+        self,
+        per_core: Dict[int, List[PeriodicTask]],
+        cluster_tasks: Optional[List[PeriodicTask]],
+        cluster_cores: List[int],
+    ) -> Dict[int, BoundCore]:
+        """Every core through :func:`materialize_core`, behind two caches.
 
-        A finished core table depends only on the (ordered) task set it
-        was generated from, so results are memoized: cores whose task
-        set is unchanged since an earlier plan reuse the cached table
-        (sharing its allocation list and segment columns) and skip EDF
-        simulation and validation entirely.  A hit whose core also held
-        the identical table in the *previous* plan reuses that exact
-        object, keeping unchanged cores identity-stable for the delta
-        push.  Cache misses run the columnar kernels, serially or (for
-        large task systems on multi-CPU hosts) in a process pool — all
-        paths produce bit-identical tables.
+        A finished core depends only on the (ordered) task set it was
+        generated from.  The per-planner LRU, keyed by that task set with
+        its names, reissues an identical core with no work at all
+        (sharing its allocation list and segment columns); a hit whose
+        core also held the identical table in the *previous* plan reuses
+        that exact object, keeping unchanged cores identity-stable for
+        the delta push.  Misses run the pipeline — whose shape cache
+        rebinds a core that differs from an earlier one only in names —
+        serially or (for large task systems on multi-CPU hosts) in a
+        process pool; all paths produce bit-identical tables.  Cluster
+        cores enter the pipeline with their DP-WRAP layout, uncached.
         """
-        report = CoalesceReport()
-        core_tables: Dict[int, CoreTable] = {}
-        fragments: Dict[int, _CoreFragment] = {}
-        cluster_tasks = assignment.pop("__cluster__", None)
-        peephole_report: Optional[PeepholeReport] = None
-
+        cores: Dict[int, BoundCore] = {}
         cache = self._core_cache
         last = self._last_tables
-        pending: List[Tuple[int, List[PeriodicTask], Tuple]] = []
-        for core, tasks in assignment.items():
+        pending: _Pending = []
+        for core, tasks in per_core.items():
             key = self._core_key(tasks)
-            record = cache.get(key)
-            if record is not None:
-                cache.move_to_end(key)
-                self.core_cache_hits += 1
-            else:
+            bound = cache.get(key)
+            if bound is None:
                 self.core_cache_misses += 1
-                record = _SHARED_CORE_CACHE.get(key)
-                if record is None:
-                    pending.append((core, tasks, key))
-                    continue
-                cache[key] = record
-                if len(cache) > CORE_CACHE_SIZE:
-                    cache.popitem(last=False)
-            previous = last.get(core) if last is not None else None
-            if (
-                previous is not None
-                and previous.allocations is record.table.allocations
-            ):
-                core_tables[core] = previous
-            else:
-                core_tables[core] = _reissue_table(record.table, core)
-            fragments[core] = record.fragment
-            report.merge(record.coalesce)
-            peephole_report = _merge_peephole(peephole_report, record.peephole)
+                pending.append((core, tasks, key))
+                continue
+            cache.move_to_end(key)
+            self.core_cache_hits += 1
+            table = last.get(core) if last is not None else None
+            if table is None or table.allocations is not bound.table.allocations:
+                table = _reissue_table(bound.table, core)
+            cores[core] = BoundCore(table, bound.coalesce, bound.names, bound.record)
 
-        for (core, _tasks, key), outcome in zip(
+        for (core, tasks, key), record in zip(
             pending, self._materialize_pending(pending)
         ):
-            table, core_coalesce, core_peephole = outcome
-            fragment = _fragment_of(table)
-            core_tables[core] = table
-            fragments[core] = fragment
-            report.merge(core_coalesce)
-            peephole_report = _merge_peephole(peephole_report, core_peephole)
-            record = _CoreRecord(table, core_coalesce, core_peephole, fragment)
-            cache[key] = record
+            bound = record.bind(core, base_names_of(tasks)[0])
+            cores[core] = bound
+            cache[key] = bound
             if len(cache) > CORE_CACHE_SIZE:
                 cache.popitem(last=False)
-            if len(_SHARED_CORE_CACHE) >= _SHARED_CORE_CACHE_SIZE:
-                _SHARED_CORE_CACHE.clear()
-            _SHARED_CORE_CACHE[key] = record
 
         if cluster_tasks is not None:
-            cluster_tables = dp_wrap_schedule(
-                cluster_tasks, cluster_cores, self.hyperperiod_ns
-            )
-            for core, table in cluster_tables.items():
-                finished, core_report = _rename_and_coalesce(
-                    table, self.coalesce_threshold_ns
+            # Replaces the cluster cores' empty placeholders above.
+            horizon = self.hyperperiod_ns
+            index_of = {task.name: index for index, task in enumerate(cluster_tasks)}
+            names = base_names_of(cluster_tasks)[0]
+            layouts = dp_wrap_schedule(cluster_tasks, cluster_cores, horizon)
+            for core, layout in layouts.items():
+                _starts, ends, ids = layout.as_arrays(index_of.__getitem__)
+                record = materialize_core(
+                    cluster_tasks,
+                    horizon,
+                    self.coalesce_threshold_ns,
+                    cpu=core,
+                    layout=(ends, ids),
                 )
-                report.merge(core_report)
-                core_tables[core] = finished
-                fragments[core] = _fragment_of(finished)
-            assignment["__cluster__"] = cluster_tasks
-        return core_tables, report, peephole_report, fragments
+                cores[core] = record.bind(core, names)
+        return cores
 
     def _core_key(self, tasks: Sequence[PeriodicTask]) -> Tuple:
         # Order matters: EDF breaks deadline ties by release sequence,
@@ -779,8 +671,8 @@ class Planner:
             self.peephole,
         )
 
-    def _materialize_pending(self, pending):
-        """Materialize cache-miss cores, in processes when large enough."""
+    def _materialize_pending(self, pending: _Pending) -> List[CoreRecord]:
+        """Records of the cache-miss cores, in processes when large enough."""
         if (
             self.parallel
             and len(pending) >= 2
@@ -790,104 +682,91 @@ class Planner:
             for _core, tasks, _key in pending:
                 jobs += estimate_jobs(tasks, self.hyperperiod_ns)
             if jobs >= PARALLEL_MIN_JOBS:
-                results = self._materialize_parallel(pending)
-                if results is not None:
-                    return results
+                records = self._materialize_parallel(pending)
+                if records is not None:
+                    return records
         return [
-            self._materialize_one(core, tasks) for core, tasks, _key in pending
-        ]
-
-    def _materialize_one(self, core, tasks):
-        """One core through the columnar pipeline (object path for peephole)."""
-        if self.peephole:
-            return _materialize_core(
-                core,
+            materialize_core(
                 tasks,
                 self.hyperperiod_ns,
-                True,
                 self.coalesce_threshold_ns,
+                self.peephole,
+                core,
             )
-        table, core_report = materialize_core_columns(
-            core, tasks, self.hyperperiod_ns, self.coalesce_threshold_ns
-        )
-        return table, core_report, None
+            for core, tasks, _key in pending
+        ]
 
-    def _materialize_parallel(self, pending):
+    def _materialize_parallel(
+        self, pending: _Pending
+    ) -> Optional[List[CoreRecord]]:
         """Fan cache-miss cores out to a process pool (None on failure).
 
-        Workers receive plain task tuples (cheap to pickle, no VCpuSpec
-        payload) and ship back raw segment-column bytes — not pickled
-        CoreTable objects — so the transfer cost is two i64 columns per
-        core; the parent revives tables from the columns.  Any
-        pool-level failure falls back to the serial path, which computes
-        the identical result.
+        Workers run :func:`materialize_core` and return its name-free
+        records, which the parent binds like any other.  Any pool-level
+        failure falls back to the serial path, which computes the
+        identical result.
         """
+        count = len(pending)
         try:
             from concurrent.futures import ProcessPoolExecutor
 
-            payloads = [
-                (
-                    core,
-                    tuple(
-                        (t.name, t.cost, t.period, t.deadline, t.offset)
-                        for t in tasks
-                    ),
-                    self.hyperperiod_ns,
-                    self.peephole,
-                    self.coalesce_threshold_ns,
-                )
-                for core, tasks, _key in pending
-            ]
             # Pool sizing only: every worker computes the same tables, so
             # the plan is identical whatever cpu_count() reports.
-            workers = min(len(pending), os.cpu_count() or 1)  # repro: allow[det-env-branch]
+            workers = min(count, os.cpu_count() or 1)  # repro: allow[det-env-branch]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_materialize_core_worker, payloads))
+                return list(
+                    pool.map(
+                        materialize_core,
+                        [tasks for _core, tasks, _key in pending],
+                        [self.hyperperiod_ns] * count,
+                        [self.coalesce_threshold_ns] * count,
+                        [self.peephole] * count,
+                        [core for core, _tasks, _key in pending],
+                    )
+                )
         except Exception:
             return None
-        return [_revive_worker_outcome(outcome) for outcome in outcomes]
 
     # ------------------------------------------------------------------
     # Assembly and audit
     # ------------------------------------------------------------------
 
     def _assemble(
-        self,
-        core_tables: Dict[int, CoreTable],
-        fragments: Dict[int, _CoreFragment],
-    ) -> Tuple[SystemTable, Dict[str, List[Tuple[int, _CoreFragment, int]]]]:
+        self, cores: Dict[int, BoundCore]
+    ) -> Tuple[SystemTable, Dict[str, List[Tuple[int, CoreRecord, int]]]]:
         """Build the system table with a precomputed vCPU index.
 
-        Walking the per-core fragments reproduces exactly what
+        Walking each record's served vCPUs reproduces exactly what
         ``SystemTable._rebuild_index`` would derive from the allocation
         lists — names in first-discovery order over sorted cores, home
         cores in first-allocation time order — at O(vCPUs) instead of
-        O(allocations).  Also returns, per vCPU, its ``(core, fragment,
-        slot)`` entries for the audit stages.
+        O(allocations).  Also returns, per vCPU, its ``(core, record,
+        base index)`` entries for the audit stages.
         """
         names: List[str] = []
         homes: Dict[str, List[Tuple[int, int]]] = {}
-        info: Dict[str, List[Tuple[int, _CoreFragment, int]]] = {}
-        for cpu in sorted(core_tables):
-            fragment = fragments[cpu]
-            fragment_names = fragment.names
-            first_starts = fragment.first_starts
-            for slot in range(len(fragment_names)):
-                name = fragment_names[slot]
+        info: Dict[str, List[Tuple[int, CoreRecord, int]]] = {}
+        for cpu in sorted(cores):
+            core = cores[cpu]
+            record = core.record
+            core_names = core.names
+            first_starts = record.first_starts
+            for base in record.order:
+                name = core_names[base]
                 entries = homes.get(name)
                 if entries is None:
                     names.append(name)
                     homes[name] = entries = []
                     info[name] = []
-                entries.append((first_starts[slot], cpu))
-                info[name].append((cpu, fragment, slot))
+                entries.append((first_starts[base], cpu))
+                info[name].append((cpu, record, base))
         home_cores = {
             name: [cpu for _start, cpu in sorted(entries)]
             for name, entries in homes.items()
         }
         system = SystemTable(
             length_ns=self.hyperperiod_ns,
-            cores=core_tables,
+            cores={cpu: core.table for cpu, core in cores.items()},
             vcpu_names=names,
             home_cores=home_cores,
         )
@@ -913,14 +792,14 @@ class Planner:
         core_tables: Dict[int, CoreTable],
         vcpus: Sequence[VCpuSpec],
         tasks: Dict[str, PeriodicTask],
-        info: Dict[str, List[Tuple[int, _CoreFragment, int]]],
+        info: Dict[str, List[Tuple[int, CoreRecord, int]]],
     ) -> None:
         """Final guarantee audit: utilization and blackout per vCPU.
 
         Coalescing may legitimately move up to the threshold per
         allocation boundary, so both checks carry a matching tolerance.
         Single-home vCPUs (virtually all of them) are audited from the
-        per-core fragment aggregates without touching any allocation;
+        per-core record aggregates without touching any allocation;
         only split vCPUs pay an interval merge across their home cores.
         """
         tolerance = 2 * self.coalesce_threshold_ns
@@ -930,8 +809,8 @@ class Planner:
             entries = info.get(vcpu.name)
             allocated = 0
             if entries:
-                for _cpu, fragment, slot in entries:
-                    allocated += fragment.allocated[slot]
+                for _cpu, record, base in entries:
+                    allocated += record.allocated[base]
             promised = task.cost * (horizon // task.period)
             if allocated + tolerance < promised:
                 raise PlanningError(
@@ -943,13 +822,9 @@ class Planner:
             if not entries:
                 blackout = 2 * horizon
             elif len(entries) == 1:
-                _cpu, fragment, slot = entries[0]
-                wrap = (
-                    fragment.first_starts[slot]
-                    + horizon
-                    - fragment.last_ends[slot]
-                )
-                gap = fragment.max_gaps[slot]
+                _cpu, record, base = entries[0]
+                wrap = record.first_starts[base] + horizon - record.last_ends[base]
+                gap = record.max_gaps[base]
                 blackout = gap if gap > wrap else wrap
             else:
                 blackout = _merged_blackout(
@@ -964,7 +839,7 @@ class Planner:
 
 def _merged_blackout(
     core_tables: Dict[int, CoreTable],
-    entries: List[Tuple[int, _CoreFragment, int]],
+    entries: List[Tuple[int, CoreRecord, int]],
     name: str,
     horizon: int,
 ) -> int:
@@ -974,7 +849,7 @@ def _merged_blackout(
     :meth:`SystemTable.max_blackout_ns`, over just this vCPU's cores.
     """
     intervals: List[Tuple[int, int]] = []
-    for cpu, _fragment, _slot in entries:
+    for cpu, _record, _base in entries:
         intervals.extend(core_tables[cpu].service_intervals(name))
     intervals.sort()
     first_start = intervals[0][0]
@@ -991,105 +866,6 @@ def _merged_blackout(
             previous_end = end
     wrap = first_start + horizon - previous_end
     return worst if worst > wrap else wrap
-
-
-def _vcpu_name_of(task_name: Optional[str]) -> Optional[str]:
-    """Strip the C=D piece suffix: ``vm0.vcpu0#1`` -> ``vm0.vcpu0``."""
-    if task_name is None:
-        return None
-    return task_name.split("#")[0]
-
-
-def _rename_and_coalesce(
-    table: CoreTable, threshold_ns: int
-) -> Tuple[CoreTable, CoalesceReport]:
-    """Task-piece names -> vCPU names, then coalesce short allocations."""
-    renamed = CoreTable(
-        cpu=table.cpu,
-        length_ns=table.length_ns,
-        allocations=[
-            Allocation(a.start, a.end, _vcpu_name_of(a.vcpu))
-            for a in table.allocations
-        ],
-    )
-    return coalesce(renamed, threshold_ns)
-
-
-def _materialize_core(
-    core: int,
-    tasks: Sequence[PeriodicTask],
-    horizon: int,
-    peephole: bool,
-    threshold_ns: int,
-) -> Tuple[CoreTable, CoalesceReport, Optional[PeepholeReport]]:
-    """The object-pipeline fallback: EDF, validate, peephole, coalesce.
-
-    Only the peephole path still runs it (the pass rewrites allocation
-    objects); plain plans use the columnar kernels in
-    :mod:`repro.core.edfcore`, which produce bit-identical tables.
-    Module-level (not a method) so the process pool can pickle it by
-    reference; everything it needs travels in the arguments.
-    """
-    from repro.core.edf import simulate_edf
-
-    table = simulate_edf(tasks, horizon, cpu=core)
-    validate_against_tasks(table, tasks)
-    peephole_report: Optional[PeepholeReport] = None
-    if peephole:
-        table, peephole_report = optimize_core(table, tasks)
-    finished, coalesce_report = _rename_and_coalesce(table, threshold_ns)
-    return finished, coalesce_report, peephole_report
-
-
-def _materialize_core_worker(payload):
-    """Process-pool entry: rebuild tasks from plain tuples and materialize.
-
-    Columnar outcomes travel as raw column bytes plus the coalesce
-    counters — a fraction of a pickled CoreTable — and are revived by
-    :func:`_revive_worker_outcome`; the rare peephole path returns the
-    object triple unchanged.
-    """
-    core, task_tuples, horizon, peephole, threshold_ns = payload
-    tasks = [
-        PeriodicTask(name=name, cost=cost, period=period, deadline=deadline, offset=offset)
-        for name, cost, period, deadline, offset in task_tuples
-    ]
-    if peephole:
-        return _materialize_core(core, tasks, horizon, peephole, threshold_ns)
-    table, report = materialize_core_columns(core, tasks, horizon, threshold_ns)
-    return (
-        core,
-        horizon,
-        table._seg_ends.tobytes(),
-        table._seg_local.tobytes(),
-        tuple(table._seg_names or ()),
-        (
-            dict(report.lost_ns),
-            dict(report.gained_ns),
-            report.merged_count,
-            report.dropped_count,
-        ),
-    )
-
-
-def _revive_worker_outcome(outcome):
-    """Rebuild a (table, coalesce, peephole) triple from a worker result."""
-    if len(outcome) == 3:
-        return outcome
-    core, horizon, ends_bytes, local_bytes, names, counters = outcome
-    ends = array("q")
-    ends.frombytes(ends_bytes)
-    handles = array("q")
-    handles.frombytes(local_bytes)
-    table = core_table_from_columns(core, horizon, ends, handles, list(names))
-    lost_ns, gained_ns, merged_count, dropped_count = counters
-    report = CoalesceReport(
-        lost_ns=lost_ns,
-        gained_ns=gained_ns,
-        merged_count=merged_count,
-        dropped_count=dropped_count,
-    )
-    return table, report, None
 
 
 def _reissue_table(template: CoreTable, cpu: int) -> CoreTable:
@@ -1113,26 +889,6 @@ def _reissue_table(template: CoreTable, cpu: int) -> CoreTable:
         _seg_local=template._seg_local,
         _seg_names=template._seg_names,
         _min_alloc_ns=template._min_alloc_ns,
-    )
-
-
-def _merge_peephole(
-    total: Optional[PeepholeReport], part: Optional[PeepholeReport]
-) -> Optional[PeepholeReport]:
-    if part is None:
-        return total
-    if total is None:
-        return PeepholeReport(
-            swaps_applied=part.swaps_applied,
-            swaps_rejected=part.swaps_rejected,
-            preemptions_before=part.preemptions_before,
-            preemptions_after=part.preemptions_after,
-        )
-    return PeepholeReport(
-        swaps_applied=total.swaps_applied + part.swaps_applied,
-        swaps_rejected=total.swaps_rejected + part.swaps_rejected,
-        preemptions_before=total.preemptions_before + part.preemptions_before,
-        preemptions_after=total.preemptions_after + part.preemptions_after,
     )
 
 

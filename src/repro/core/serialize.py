@@ -197,13 +197,22 @@ def deserialize(payload: bytes) -> SystemTable:
         vcpu_names=vcpu_names,
         home_cores=home_cores,
     )
+    check_parallel_service(table)
+    return table
+
+
+def check_parallel_service(table: SystemTable) -> None:
+    """Reject a pushed table that serves a vCPU on two cores at once.
+
+    The last structural check of a full or delta push, after the
+    decoder has checked each core; raises :class:`TableFormatError`.
+    """
     overlap = table.parallel_service()
     if overlap is not None:
         vcpu, start, end = overlap
         raise TableFormatError(
             f"vCPU {vcpu} scheduled on two cores during [{start}, {end})"
         )
-    return table
 
 
 def _read_names(view: memoryview, offset: int, count: int) -> Tuple[List[str], int]:

@@ -302,15 +302,13 @@ class PlannerDaemon:
     def _delta_eligible(self, result: PlanResult) -> bool:
         """Whether ``result`` may travel as a delta at all.
 
-        Deltas are restricted to plain partitioned plans with peephole
-        optimization off: split pieces (``#k`` names) and peephole
-        rewrites couple cores through shared vCPUs, so a per-core diff
-        no longer captures the full schedule change safely.
+        Deltas are restricted to partitioned plans: split pieces (``#k``
+        names) and DP-WRAP clusters couple cores through shared vCPUs,
+        so a per-core diff no longer captures the full schedule change
+        safely.  The peephole pass rewrites each core on its own, so a
+        partitioned peephole plan is a valid per-core delta.
         """
-        return (
-            result.stats.method == METHOD_PARTITIONED
-            and not self.planner.peephole
-        )
+        return result.stats.method == METHOD_PARTITIONED
 
     def _changed_cores(self, table: SystemTable) -> Optional[List[int]]:
         """Cores whose schedule differs from the last pushed table.

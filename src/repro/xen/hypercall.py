@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from repro.core.edfcore import core_table_from_columns
 from repro.core.serialize import (
+    check_parallel_service,
     deserialize,
     deserialize_delta,
     serialize,
@@ -175,8 +176,13 @@ class TableHypercall:
         token does not name the current push generation — or whose
         geometry disagrees with the base — is rejected with
         :class:`TableDeltaMismatchError` *before* anything is staged;
-        the daemon then falls back to a full push.  The assembled table
-        passes the same full validation as a complete push.
+        the daemon then falls back to a full push.
+
+        :func:`~repro.core.serialize.deserialize_delta` checks each
+        changed core's columns and the base cores were checked when they
+        were pushed, so the one check left is the assembled table's
+        no-parallel-service check: a vCPU served on two cores at once
+        raises :class:`TableFormatError`, as in a full push.
         """
         payload = self._consult_push_faults(payload)
         length_ns, names, base_token, columns = deserialize_delta(payload)
@@ -205,7 +211,7 @@ class TableHypercall:
                 cpu, length_ns, ends, handles, names
             )
         table = SystemTable(length_ns=length_ns, cores=cores)
-        table.validate()
+        check_parallel_service(table)
         return self._stage(table, len(payload), delta=True)
 
     def _consult_push_faults(self, payload: bytes) -> bytes:

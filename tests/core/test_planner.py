@@ -88,6 +88,72 @@ class TestMethodEscalation:
         assert result.table.overlapping_service() == []
 
 
+def census_of(pairs):
+    """VMs ``vm0``, ``vm1``, ... from ``(U, L in ms)`` pairs."""
+    return [make_vm(f"vm{i}", u, latency_ms * MS) for i, (u, latency_ms) in enumerate(pairs)]
+
+
+def plan_outcome(result):
+    stats = result.stats
+    return (
+        {
+            cpu: [(a.start, a.end, a.vcpu) for a in core.allocations]
+            for cpu, core in result.table.cores.items()
+        },
+        result.table.vcpu_names,
+        result.table.home_cores,
+        stats.method,
+        stats.cluster_cores,
+        stats.coalesce,
+        stats.peephole,
+        stats.table_bytes,
+    )
+
+
+class TestClusteredPlans:
+    """Localized optimal scheduling (DP-WRAP) reached through ``plan``."""
+
+    # vm0 fits no core after WFD and C=D fail, so cores 0 and 1 merge.
+    CENSUS = [(0.75, 5), (0.4, 20), (0.75, 2), (0.3, 2), (0.65, 50)]
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return Planner(uniform(3)).plan(census_of(self.CENSUS))
+
+    def test_escalates_to_a_two_core_cluster(self, result):
+        assert result.stats.method == METHOD_CLUSTERED
+        assert result.stats.cluster_cores == [0, 1]
+        assert result.table.is_split("vm0.vcpu0")
+
+    def test_cluster_guarantees_hold(self, result):
+        table = result.table
+        for name, spec in result.vcpus.items():
+            task = result.task_of(name)
+            promised = task.cost * (table.length_ns // task.period)
+            assert table.allocated_ns(name) >= promised
+            assert table.max_blackout_ns(name) <= spec.latency_ns
+        assert table.overlapping_service() == []
+
+    def test_replan_and_fresh_planner_agree(self):
+        planner = Planner(uniform(3))
+        first = plan_outcome(planner.plan(census_of(self.CENSUS)))
+        assert plan_outcome(planner.plan(census_of(self.CENSUS))) == first
+        fresh = Planner(uniform(3)).plan(census_of(self.CENSUS))
+        assert plan_outcome(fresh) == first
+
+    def test_cluster_at_exactly_full_capacity(self):
+        # Total U is exactly 4.0.  Summed as floats, one core's load read
+        # 0.9500000000000001 and the cluster's slack 0.29999999999999993,
+        # below the leftover demand of 0.3, and planning failed.
+        census = [
+            (0.3, 50), (0.4, 50), (0.4, 10), (0.75, 10),
+            (0.7, 20), (0.6, 50), (0.55, 5), (0.3, 10),
+        ]
+        result = Planner(uniform(4)).plan(census_of(census))
+        assert result.stats.method == METHOD_CLUSTERED
+        assert result.stats.cluster_cores == [0, 3]
+
+
 class TestDedicatedCores:
     def test_full_utilization_vcpu_gets_own_core(self):
         vms = [make_vm("big", 1.0, MS)] + [

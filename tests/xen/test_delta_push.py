@@ -9,7 +9,14 @@ import struct
 
 import pytest
 
-from repro.core import MS, CensusDelta, Planner, make_vm, serialize
+from repro.core import (
+    METHOD_PARTITIONED,
+    MS,
+    CensusDelta,
+    Planner,
+    make_vm,
+    serialize,
+)
 from repro.core.serialize import deserialize_delta, serialize_delta
 from repro.core.table import SystemTable
 from repro.errors import TableDeltaMismatchError, TableFormatError
@@ -182,6 +189,28 @@ class TestMalformedDeltaColumns:
         assert hypercall.delta_generation == generation
         assert hypercall.retired_unactivated == 0
 
+    def test_parallel_service_rejected_untouched(self):
+        # Well-formed columns, but the changed core serves a vCPU that an
+        # unchanged core also serves: a structural rejection, typed like
+        # the full push's.
+        hypercall, sched, base = self.pushed()
+        changed = min(base.cores)
+        name = next(n for n in base.vcpu_names if changed not in base.home_cores[n])
+        payload = self.crafted(
+            hypercall, base, [10_000], [base.vcpu_names.index(name)]
+        )
+        serving = sched.table
+        pushes = list(hypercall.pushes)
+        generation = hypercall.delta_generation
+        with pytest.raises(TableFormatError, match="two cores"):
+            hypercall.push_table_delta(payload)
+        assert sched.table is serving
+        assert hypercall.staged_table is base
+        assert sched.pending_table is base
+        assert hypercall.pushes == pushes
+        assert hypercall.delta_generation == generation
+        assert hypercall.retired_unactivated == 0
+
 
 class TestDaemonDeltaGating:
     def test_boot_push_is_full(self):
@@ -207,16 +236,27 @@ class TestDaemonDeltaGating:
         assert daemon.delta_pushes == 0
         assert daemon.full_pushes == 2
 
-    def test_peephole_planner_forces_full_push(self):
+    def test_peephole_plan_travels_as_delta(self):
+        # The peephole pass rewrites each core on its own, so a
+        # partitioned peephole plan is a per-core delta like any other.
         topo = uniform(4)
         sched = TableauScheduler(SystemTable(length_ns=MS, cores={}))
         hypercall = TableHypercall(sched)
         daemon = PlannerDaemon(topo, hypercall=hypercall, peephole=True)
-        vms = census(8)
+        # Mixed latency goals fragment EDF, so the pass has work to do.
+        vms = [make_vm(f"tight{i}", 0.3, 2 * MS) for i in range(4)]
+        vms += [make_vm(f"loose{i}", 0.5, 100 * MS) for i in range(4)]
         daemon.replan(vms, "boot")
-        daemon.replan(vms + [make_vm("vm99", 0.25, 20 * MS)], "create")
-        assert daemon.delta_pushes == 0
-        assert daemon.full_pushes == 2
+        result = daemon.replan(vms + [make_vm("vm99", 0.1, 20 * MS)], "create")
+        assert result.stats.method == METHOD_PARTITIONED
+        assert result.stats.peephole.swaps_applied > 0
+        assert daemon.delta_pushes == 1
+        assert daemon.full_pushes == 1
+        assert daemon.history[-1].push.delta
+        staged = hypercall.staged_table
+        assert set(staged.cores) == set(result.table.cores)
+        for cpu, core in result.table.cores.items():
+            assert staged.cores[cpu].allocations == core.allocations
 
     def test_stale_base_falls_back_to_full_push(self):
         daemon, hypercall, _ = build_daemon(xeon_16core())

@@ -52,8 +52,8 @@ def hypercall_on_empty_table():
 class TestFullPush:
     def test_one_build_per_received_core_plus_missing_planner_cores(self, builds):
         hypercall = hypercall_on_empty_table()
-        # A shape no other test plans: the planner's shared core cache
-        # cannot hand back cores whose slices an earlier push built.
+        # A shape no other test plans, so no earlier push has built
+        # slices on the cores it plans.
         plan = Planner(xeon_16core()).plan(census(40, "full", 0.23, 19))
         missing = [core for core in plan.table.cores.values() if not core.slices]
         assert missing  # the planner leaves slice tables to the push
