@@ -31,6 +31,15 @@ pre-columnar cost) so the planner win that retired the old bar cannot
 silently regress.  Wall ratios are still reported but not gated — at
 ~1.2x they sit inside this container's timing noise.
 
+An absolute ceiling that loose let a 4x planner regression through
+(binding a cached core to names rebuilt every allocation), so the
+serial plan phase is also barred relative to the host: divided by the
+median time of perfbench's calibration kernel, measured next to it, it
+must stay at or below ``MAX_PLAN_PHASE_OVER_CALIBRATION``.  On a 2-vCPU
+x86 host whose kernel takes 1.3-2.3 ms, a planner that binds cached
+cores to names without building allocations reads 43-73x, and one that
+builds them on every bind reads 480-880x.
+
 Run directly to (re)generate ``BENCH_campaign.json`` at the repo root::
 
     PYTHONPATH=src python benchmarks/campaign.py
@@ -43,6 +52,7 @@ warm parent memo would shadow it).
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -67,6 +77,18 @@ SEEDS: Sequence[int] = (42, 43, 44)
 VM_COUNTS: Sequence[int] = (120, 144, 176)
 DURATION_S = 0.005
 LATENCY_MS = 1.0
+
+#: Bar on the serial plan phase over the calibration kernel's time.
+MAX_PLAN_PHASE_OVER_CALIBRATION = 200.0
+CALIBRATION_RUNS = 21
+
+
+def calibration_s() -> float:
+    """Median wall time of perfbench's calibration kernel on this host."""
+    sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+    from rep import calibration
+
+    return statistics.median(calibration() for _ in range(CALIBRATION_RUNS))
 
 
 def bench_matrix(
@@ -137,6 +159,7 @@ def run_all(
         # so the on-disk store (not an inherited memo) serves lookups.
         cold = run_pooled(matrix, cache, str(Path(td) / "cold.jsonl"))
         warm = run_pooled(matrix, cache, str(Path(td) / "warm.jsonl"))
+        calibration = calibration_s()
         serial = run_seed_path(matrix)
 
     identical = (
@@ -166,6 +189,10 @@ def run_all(
         "serial_seed": serial,
         "parallel_cold": cold,
         "parallel_warm": warm,
+        "calibration_s": round(calibration, 6),
+        "serial_plan_phase_over_calibration": round(
+            float(serial["plan_phase_s"]) / calibration, 1
+        ),
         "speedup_warm_vs_serial": round(speedup, 2),
         "speedup_warm_vs_cold": round(speedup_vs_cold, 2),
         "plan_phase_speedup_warm_vs_cold": round(phase_speedup, 2),
@@ -184,6 +211,8 @@ def main() -> int:
         and float(results["plan_phase_speedup_warm_vs_cold"]) >= 1.3
         and float(results["warm_hit_rate"]) >= 0.9
         and float(results["serial_seed"]["plan_phase_s"]) <= 2.93
+        and float(results["serial_plan_phase_over_calibration"])
+        <= MAX_PLAN_PHASE_OVER_CALIBRATION
     )
     if not ok:
         print("BENCHMARK BAR NOT MET", file=sys.stderr)

@@ -32,7 +32,7 @@ from hotpath import (
     bench_planner,
     bench_planner_delta,
 )
-from repro.core import MS, Planner, make_vm
+from repro.core import MS, Planner, edfcore, make_vm
 from repro.topology import xeon_16core
 
 #: Full-scale (0.5 s, seed 42) reference fingerprints.  These freeze the
@@ -238,6 +238,8 @@ def test_plan_transport_travels_as_deltas():
 
 
 def test_incremental_replan_hits_core_cache():
+    # The shape cache is process-wide: clear it so the first plan is cold.
+    edfcore._SHAPE_CACHE.clear()
     planner = Planner(xeon_16core())
     planner.plan([make_vm(f"vm{i:02d}", 0.25, 20 * MS) for i in range(40)])
     assert planner.core_cache_hits == 0

@@ -5,9 +5,9 @@ configurations that are frequently reused."  In a cloud offering a small
 set of regularly sized service tiers, most planner invocations see a
 census that differs from a previous one only in VM *names* — the
 (utilization, latency, capped) multiset is identical.  This cache keys
-on that multiset (plus the topology) and rebinds the cached table's
-allocations to the new names, reducing a replan to a dictionary lookup
-plus an O(table) rename.
+on that multiset (plus the topology) and binds the cached table's
+segments to the new names, reducing a replan to a dictionary lookup
+plus an O(vCPUs) rename.
 """
 
 from __future__ import annotations
@@ -18,23 +18,25 @@ from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.params import VCpuSpec
 from repro.core.planner import PlanResult, Planner
-from repro.core.table import Allocation, CoreTable, SystemTable
+from repro.core.table import SystemTable
+from repro.core.tasks import PeriodicTask
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.plancache import PlanStore
 
-#: Reservation signature: (utilization rounded to ppm, latency, capped).
-_Signature = Tuple[Tuple[int, int, bool], ...]
+#: A vCPU's reservation: (utilization, latency, capped).  Utilization is
+#: the exact float the planner costs tasks from, never a rounding of it.
+_Reservation = Tuple[float, int, bool]
+_Signature = Tuple[_Reservation, ...]
+
+
+def _reservation(vcpu: VCpuSpec) -> _Reservation:
+    return (vcpu.utilization, vcpu.latency_ns, vcpu.capped)
 
 
 def census_signature(vcpus: Sequence[VCpuSpec]) -> _Signature:
     """Order-independent fingerprint of a vCPU census."""
-    return tuple(
-        sorted(
-            (round(v.utilization * 1_000_000), v.latency_ns, v.capped)
-            for v in vcpus
-        )
-    )
+    return tuple(sorted(map(_reservation, vcpus)))
 
 
 @dataclass
@@ -99,66 +101,62 @@ class TableCache:
 def rebind_plan(cached: PlanResult, vcpus: Sequence[VCpuSpec]) -> PlanResult:
     """Rename a cached plan's vCPUs onto a same-shape census.
 
-    Matching is by reservation signature: each new vCPU takes over the
-    slots of a cached vCPU with identical (utilization, latency, capped).
-    The returned plan shares no mutable state with the cached one.
+    Matching is by reservation: each new vCPU takes over the slots of a
+    cached vCPU with the identical (utilization, latency, capped).  Each
+    core table is bound to the cached core's segments under the new
+    names (:meth:`~repro.core.table.CoreTable.renamed`), so the slice
+    tables are shared and no allocation is built; the vCPU index is
+    renamed in place of a re-index.  Every task and C=D piece (``new#k``)
+    keeps its cost, period, deadline and offset.  The returned plan
+    shares no mutable state with the cached one.
     """
-    # Group cached vCPU names by their reservation signature.
-    pools: Dict[Tuple[int, int, bool], List[str]] = {}
+    # Group cached vCPU names by their reservation.
+    pools: Dict[_Reservation, List[str]] = {}
     for name, spec in cached.vcpus.items():
-        key = (round(spec.utilization * 1_000_000), spec.latency_ns, spec.capped)
-        pools.setdefault(key, []).append(name)
+        pools.setdefault(_reservation(spec), []).append(name)
     for names in pools.values():
         names.sort()
 
     rename: Dict[str, str] = {}
     new_specs: Dict[str, VCpuSpec] = {}
     for vcpu in sorted(vcpus, key=lambda v: v.name):
-        key = (round(vcpu.utilization * 1_000_000), vcpu.latency_ns, vcpu.capped)
-        old_name = pools[key].pop()
+        old_name = pools[_reservation(vcpu)].pop()
         rename[old_name] = vcpu.name
         new_specs[vcpu.name] = vcpu
 
-    cores: Dict[int, CoreTable] = {}
-    for cpu, table in cached.table.cores.items():
-        if not table.slices:
-            # Built once on the cached core, then shared by every rebind.
-            table.build_slices()
-        # Renaming moves no boundary, so the slice geometry carries over
-        # (slice tables are replaced on rebuild, never mutated in place).
-        cores[cpu] = CoreTable(
-            cpu=cpu,
-            length_ns=table.length_ns,
-            allocations=[
-                Allocation(
-                    a.start,
-                    a.end,
-                    rename[a.vcpu] if a.vcpu is not None else None,
-                )
-                for a in table.allocations
-            ],
-            slice_len_ns=table.slice_len_ns,
-            slices=table.slices,
-            _starts=table._starts,
-            _bounds=table._bounds,
-        )
-    system = SystemTable(length_ns=cached.table.length_ns, cores=cores)
+    table = cached.table
+    system = SystemTable(
+        length_ns=table.length_ns,
+        cores={cpu: core.renamed(rename) for cpu, core in table.cores.items()},
+        vcpu_names=[rename[name] for name in table.vcpu_names],
+        home_cores={
+            rename[name]: list(homes) for name, homes in table.home_cores.items()
+        },
+    )
 
-    tasks = {
-        rename[name]: task.__class__(
-            name=rename[name],
-            cost=task.cost,
-            period=task.period,
-            deadline=task.deadline,
-            offset=task.offset,
-            vcpu=new_specs[rename[name]],
-        )
-        for name, task in cached.tasks.items()
-    }
+    # As in a fresh plan, a whole task in ``assignment`` is the object in
+    # ``tasks``; each C=D piece is its own task.
+    renamed: Dict[str, PeriodicTask] = {}
+
+    def rename_task(task: PeriodicTask) -> PeriodicTask:
+        base, piece, number = task.name.partition("#")
+        name = rename[base] + piece + number
+        new = renamed.get(name)
+        if new is None:
+            new = renamed[name] = PeriodicTask(
+                name=name,
+                cost=task.cost,
+                period=task.period,
+                deadline=task.deadline,
+                offset=task.offset,
+                vcpu=new_specs[rename[base]],
+            )
+        return new
+
+    tasks = {rename[name]: rename_task(task) for name, task in cached.tasks.items()}
     assignment = {
-        core: [tasks[rename[t.name.split("#")[0]]] for t in ts]
-        for core, ts in cached.assignment.items()
-        if core != "__cluster__"
+        core: [rename_task(task) for task in core_tasks]
+        for core, core_tasks in cached.assignment.items()
     }
     return PlanResult(
         table=system,

@@ -1,7 +1,7 @@
 """Columnar per-core table materialization (the planner's one core pipeline).
 
 This is the planning-side mirror of :mod:`repro.sim.arraycore`: every
-core table the planner produces comes out of :func:`materialize_core`,
+core table the planner produces comes out of :func:`run_pipeline`,
 which runs Sec. 5's per-core pipeline in order:
 
 1. the EDF kernel, over flat ``array('q')`` columns with integer task
@@ -20,15 +20,19 @@ A DP-WRAP cluster core enters at stage 4 with its layout.  The result is
 a name-free :class:`CoreRecord` that refers to vCPUs only by base index,
 so it is cached by task *shape* and serves every core, in any planner,
 whose tasks differ only in names; :meth:`CoreRecord.bind` labels it.
+The cache has one reader, :func:`lookup_core`, and one writer,
+:func:`remember_core`: :func:`materialize_core` puts the pipeline behind
+them for one core, and the planner for a census, whose misses it runs
+serially or in a process pool.
 The output equals the object pipeline of
 :func:`repro.core.edf.simulate_edf`,
 :func:`repro.core.table.validate_against_tasks`,
 :func:`repro.core.peephole.optimize_core`, the piece rename and
 :func:`repro.core.postprocess.coalesce` — the differential suite in
-``tests/core/test_columnar_edf.py`` holds the two equal — and its segment
-columns are already the :meth:`~repro.core.table.CoreTable.as_arrays`
-layout, so the dispatcher's array engine and the ``'TBLA'`` serializer
-consume the planner's own columns with no re-derivation.
+``tests/core/test_columnar_edf.py`` holds the two equal.  The record's
+:class:`~repro.core.table.Segments` are the schedule of every table bound
+to it: binding names builds no allocation, and the dispatcher's array
+engine, the serializers and the slice table all read those same columns.
 """
 
 from __future__ import annotations
@@ -40,20 +44,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.peephole import PeepholeReport, optimize_core
 from repro.core.postprocess import CoalesceReport
-from repro.core.table import Allocation, CoreTable
+from repro.core.table import CoreTable, Segments
 from repro.core.tasks import PeriodicTask
 from repro.errors import ConfigurationError, PlanningError
 from repro.hotpath import coldpath, hotpath
 
-#: Structural memo for :func:`materialize_core`.  A core's record is a
-#: pure function of the task *shape* — the per-task (period, cost,
-#: deadline, offset) columns plus the piece->base-vCPU grouping — and of
-#: the horizon, threshold and peephole knob, never of the vCPU names or
-#: the core id, which only label it.  Cores across a census (and across
-#: planner instances) overwhelmingly share shapes: a VM-create burst of
-#: identical tiers differs core-to-core only in names, so one pipeline
-#: run serves all of them.  Only successful materializations are cached
-#: — failures re-run so diagnostics carry the right task names.
+#: The planner's one per-core cache (:func:`lookup_core`).  A core's
+#: record is a pure function of the task *shape* — the per-task (period,
+#: cost, deadline, offset) columns plus the piece->base-vCPU grouping —
+#: and of the horizon, threshold and peephole knob, never of the vCPU
+#: names or the core id, which only label it.  Cores across a census
+#: (and across planner instances) overwhelmingly share shapes: a
+#: VM-create burst of identical tiers differs core-to-core only in
+#: names, so one pipeline run serves all of them.  Only successful
+#: materializations are cached — failures re-run so diagnostics carry
+#: the right task names.
 _SHAPE_CACHE: Dict[tuple, "CoreRecord"] = {}
 _SHAPE_CACHE_SIZE = 1024
 
@@ -68,19 +73,13 @@ class CoreRecord:
     """
 
     length_ns: int
-    #: Gap-free segment columns in the :meth:`CoreTable.as_arrays` layout
-    #: (base index per segment, ``-1`` = idle); an allocation per served
-    #: segment.
-    seg_starts: array
-    seg_ends: array
-    seg_ids: array
-    min_alloc_ns: Optional[int]
+    #: The schedule, with base indices as segment ids (its ``served``
+    #: ids are the order ``SystemTable._rebuild_index`` discovers the
+    #: vCPUs in).
+    segments: Segments
     #: Coalesce accounting, keyed by base index.
     coalesce: CoalesceReport
     peephole: Optional[PeepholeReport]
-    #: Served base indices in first-allocation order — the order
-    #: ``SystemTable._rebuild_index`` discovers the vCPUs in.
-    order: List[int]
     #: Audit aggregates per base index: first start, total service, last
     #: end, and the largest internal service gap (touching allocations
     #: merged, as in ``SystemTable.max_blackout_ns``; the wrap-around gap
@@ -92,21 +91,7 @@ class CoreRecord:
 
     def bind(self, cpu: int, names: List[str]) -> "BoundCore":
         """Label the record: ``names[i]`` is base index ``i`` on ``cpu``."""
-        allocations = [
-            Allocation(start, end, names[vcpu])
-            for start, end, vcpu in zip(self.seg_starts, self.seg_ends, self.seg_ids)
-            if vcpu >= 0
-        ]
-        table = CoreTable(
-            cpu=cpu,
-            length_ns=self.length_ns,
-            allocations=allocations,
-            _seg_starts=self.seg_starts,
-            _seg_ends=self.seg_ends,
-            _seg_local=self.seg_ids,
-            _seg_names=names,
-            _min_alloc_ns=self.min_alloc_ns,
-        )
+        table = CoreTable.bound(cpu, self.length_ns, self.segments, names)
         report = self.coalesce
         coalesce = CoalesceReport(
             lost_ns={names[k]: v for k, v in report.lost_ns.items()},
@@ -319,7 +304,8 @@ def _peephole(
     result goes back to columns indexed by task position.
     """
     names = [task.name for task in tasks]
-    table = core_table_from_columns(cpu, horizon, seg_ends, seg_ids, names)
+    segments = Segments.from_columns(seg_ends, seg_ids)
+    table = CoreTable.bound(cpu, horizon, segments, names)
     optimized, report = optimize_core(table, tasks)
     index_of = {name: index for index, name in enumerate(names)}
     _starts, ends, ids = optimized.as_arrays(index_of.__getitem__)
@@ -442,16 +428,13 @@ def _record(
     peephole: Optional[PeepholeReport],
 ) -> CoreRecord:
     """One pass over the final allocations: layout check, segment
-    columns, shortest allocation and the per-vCPU audit aggregates."""
-    seg_starts = array("q")
+    columns and the per-vCPU audit aggregates."""
     seg_ends = array("q")
     seg_ids = array("q")
-    order: List[int] = []
     first_starts = [0] * num_bases
     allocated = [0] * num_bases
     last_ends = [-1] * num_bases
     max_gaps = [0] * num_bases
-    shortest: Optional[int] = None
     cursor = 0
     for start, end, vcpu in zip(starts, ends, ids):
         if start < cursor:
@@ -465,36 +448,25 @@ def _record(
                 f"length {horizon}"
             )
         if start > cursor:
-            seg_starts.append(cursor)
             seg_ends.append(start)
             seg_ids.append(-1)
-        seg_starts.append(start)
         seg_ends.append(end)
         seg_ids.append(vcpu)
-        length = end - start
-        if shortest is None or length < shortest:
-            shortest = length
         if last_ends[vcpu] < 0:
-            order.append(vcpu)
             first_starts[vcpu] = start
         elif start - last_ends[vcpu] > max_gaps[vcpu]:
             max_gaps[vcpu] = start - last_ends[vcpu]
-        allocated[vcpu] += length
+        allocated[vcpu] += end - start
         last_ends[vcpu] = end
         cursor = end
     if cursor < horizon:
-        seg_starts.append(cursor)
         seg_ends.append(horizon)
         seg_ids.append(-1)
     return CoreRecord(
         length_ns=horizon,
-        seg_starts=seg_starts,
-        seg_ends=seg_ends,
-        seg_ids=seg_ids,
-        min_alloc_ns=shortest,
+        segments=Segments.from_columns(seg_ends, seg_ids),
         coalesce=coalesce,
         peephole=peephole,
-        order=order,
         first_starts=first_starts,
         allocated=allocated,
         last_ends=last_ends,
@@ -518,40 +490,59 @@ def base_names_of(tasks: Sequence[PeriodicTask]) -> Tuple[List[str], List[int]]:
     return base_names, base_of
 
 
-def materialize_core(
+def lookup_core(
     tasks: Sequence[PeriodicTask],
     horizon: int,
     threshold_ns: int,
-    peephole: bool = False,
+    peephole: bool,
+) -> Tuple[List[str], tuple, Optional[CoreRecord]]:
+    """A core's base-vCPU names, its shape, and the shape cache's record
+    for that shape (``None`` on a miss).
+
+    The shape is the cache key: everything a core's record depends on —
+    horizon, threshold, peephole knob, the piece->base grouping and each
+    task's timing — and nothing it does not (names, core id).
+    """
+    base_names, base_of = base_names_of(tasks)
+    shape = (
+        horizon,
+        threshold_ns,
+        peephole,
+        tuple(base_of),
+        tuple(
+            (task.period, task.cost, task.deadline or task.period, task.offset)
+            for task in tasks
+        ),
+    )
+    return base_names, shape, _SHAPE_CACHE.get(shape)
+
+
+def remember_core(shape: tuple, record: CoreRecord) -> CoreRecord:
+    """Cache ``record`` under ``shape`` (bounded: cleared when full)."""
+    if shape not in _SHAPE_CACHE and len(_SHAPE_CACHE) >= _SHAPE_CACHE_SIZE:
+        _SHAPE_CACHE.clear()
+    _SHAPE_CACHE[shape] = record
+    return record
+
+
+def run_pipeline(
+    tasks: Sequence[PeriodicTask],
+    shape: tuple,
     cpu: int = 0,
     layout: Optional[Tuple[array, array]] = None,
 ) -> CoreRecord:
-    """The per-core pipeline: the one producer of a planner core table.
+    """The per-core pipeline for ``tasks`` of ``shape`` (see
+    :func:`lookup_core`), uncached.
 
-    Runs the EDF kernel, the column validation, the peephole pass (with
-    ``peephole``), rename/merge and coalescing, and returns the
-    name-free record, cached by task shape.  ``layout`` — gap-free
-    ``(ends, task indices)`` columns, as a DP-WRAP cluster core's
-    :meth:`CoreTable.as_arrays` — replaces the first three stages; such
-    a record is not cached.  ``cpu`` only labels diagnostics.
+    Runs the EDF kernel, the column validation, the peephole pass (when
+    the shape asks for it), rename/merge and coalescing, and returns the
+    name-free record.  ``layout`` — gap-free ``(ends, task indices)``
+    columns, as a DP-WRAP cluster core's :meth:`CoreTable.as_arrays` —
+    replaces the first three stages.  ``cpu`` only labels diagnostics.
     """
-    base_names, base_of = base_names_of(tasks)
-    shape = None
+    horizon, threshold_ns, peephole, base_of, _timing = shape
     peephole_report: Optional[PeepholeReport] = None
     if layout is None:
-        shape = (
-            horizon,
-            threshold_ns,
-            peephole,
-            tuple(base_of),
-            tuple(
-                (task.period, task.cost, task.deadline or task.period, task.offset)
-                for task in tasks
-            ),
-        )
-        cached = _SHAPE_CACHE.get(shape)
-        if cached is not None:
-            return cached
         packed, costs, deadlines = _packed_releases(tasks, horizon)
         seg_ends = array("q")
         seg_ids = array("q")
@@ -569,57 +560,34 @@ def materialize_core(
     coalesce = CoalesceReport()
     starts, ends, ids = _rename_merge(seg_ends, seg_ids, base_of, coalesce)
     starts, ends, ids = _coalesce_columns(starts, ends, ids, threshold_ns, coalesce)
-    record = _record(
-        starts, ends, ids, len(base_names), horizon, cpu, coalesce, peephole_report
+    num_bases = max(base_of, default=-1) + 1
+    return _record(
+        starts, ends, ids, num_bases, horizon, cpu, coalesce, peephole_report
     )
-    if shape is not None:
-        if len(_SHAPE_CACHE) >= _SHAPE_CACHE_SIZE:
-            _SHAPE_CACHE.clear()
-        _SHAPE_CACHE[shape] = record
-    return record
 
 
-def core_table_from_columns(
-    cpu: int,
-    length_ns: int,
-    ends: array,
-    handles: array,
-    names: Sequence[str],
-) -> CoreTable:
-    """Rebuild a :class:`CoreTable` from gap-free ``(ends, handles)`` columns.
+def materialize_core(
+    tasks: Sequence[PeriodicTask],
+    horizon: int,
+    threshold_ns: int,
+    peephole: bool = False,
+    cpu: int = 0,
+    layout: Optional[Tuple[array, array]] = None,
+) -> CoreRecord:
+    """One core's record through the shape cache: the cached record of
+    the tasks' shape, or else :func:`run_pipeline`'s, which is then
+    cached.
 
-    The inverse of :meth:`CoreTable.as_arrays` for planner-produced
-    tables (which never contain explicit idle allocation records):
-    every segment with a non-negative handle becomes one allocation.
-    Used by the peephole stage and by the delta table push, whose
-    decoder has already checked the columns (ends rising strictly to
-    ``length_ns``, handles in range).
+    A record finished from a ``layout`` is not cached.  The planner runs
+    the same steps over a whole census, so that its misses can share a
+    process pool.
     """
-    allocations: List[Allocation] = []
-    seg_starts = array("q")
-    local_names: List[str] = []
-    local_ids = {}
-    seg_ids = array("q")
-    cursor = 0
-    for k in range(len(ends)):
-        end = ends[k]
-        handle = handles[k]
-        seg_starts.append(cursor)
-        if handle >= 0:
-            name = names[handle]
-            local = local_ids.get(name)
-            if local is None:
-                local = len(local_names)
-                local_ids[name] = local
-                local_names.append(name)
-            seg_ids.append(local)
-            allocations.append(Allocation(cursor, end, name))
-        else:
-            seg_ids.append(-1)
-        cursor = end
-    table = CoreTable(cpu=cpu, length_ns=length_ns, allocations=allocations)
-    table.attach_columns(seg_starts, array("q", ends), seg_ids, local_names)
-    return table
+    _names, shape, record = lookup_core(tasks, horizon, threshold_ns, peephole)
+    if layout is not None:
+        return run_pipeline(tasks, shape, cpu, layout)
+    if record is None:
+        record = remember_core(shape, run_pipeline(tasks, shape, cpu))
+    return record
 
 
 def estimate_jobs(tasks: Sequence[PeriodicTask], horizon: int) -> int:
@@ -634,7 +602,9 @@ __all__ = [
     "BoundCore",
     "CoreRecord",
     "base_names_of",
-    "core_table_from_columns",
     "estimate_jobs",
+    "lookup_core",
     "materialize_core",
+    "remember_core",
+    "run_pipeline",
 ]

@@ -5,9 +5,8 @@ Sec. 7.1 observes that tables for common configurations can be
 does that within one process; this module extends the idea across
 processes and runs: a :class:`PlanStore` persists finished
 :class:`~repro.core.planner.PlanResult` objects on disk, keyed by a
-fingerprint of the *exact* planning inputs — the same
-(task-set, knob) identity the planner's per-core memo keys on, widened
-to the whole census plus the topology.  Repeated densities across
+fingerprint of the *exact* planning inputs — the ordered census, the
+topology and every planner knob.  Repeated densities across
 benchmarks, campaign shards, and re-runs then skip table generation
 entirely.
 
@@ -59,8 +58,10 @@ MAGIC = b"TPLC"
 #: segment columns on each ``CoreTable`` and leaves slices lazy — v1
 #: pickles lack the column attributes and would deserialize broken.
 #: v3: ``CoreTable.slices`` is a flat ``array('i')``; a v2 core whose
-#: slices were built holds ``(first, second)`` tuples instead.
-CACHE_VERSION = 3
+#: slices were built holds ``(first, second)`` tuples instead.  v4: a
+#: ``CoreTable`` keeps its schedule as shared ``Segments`` plus names
+#: (never pickled), and shape keys hash the exact utilization float.
+CACHE_VERSION = 4
 
 _HEADER = struct.Struct("<4sHH32s")
 
@@ -149,7 +150,7 @@ def plan_key(planner: "Planner", workload: Workload) -> str:
 
     Covers everything that can change the emitted table: the ordered
     vCPU census (order matters — EDF breaks ties by release sequence,
-    exactly as the per-core memo's key does), the topology, and every
+    which follows task order), the topology, and every
     planner knob the pipeline reads.  Two requests with equal keys
     produce bit-identical plans, so a stored entry may be substituted
     for a fresh ``planner.plan(...)`` call.
@@ -203,8 +204,8 @@ def shape_plan_key(planner: "Planner", workload: Workload) -> str:
             f";numa={planner.numa};policy={planner.policy!r};"
         ).encode()
     )
-    for ppm, latency_ns, capped in census_signature(vcpus):
-        hasher.update(f"{ppm},{latency_ns},{capped};".encode())
+    for utilization, latency_ns, capped in census_signature(vcpus):
+        hasher.update(f"{utilization!r},{latency_ns},{capped};".encode())
     return hasher.hexdigest()
 
 

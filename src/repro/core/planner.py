@@ -20,16 +20,17 @@ eager slice construction on every replan was pure waste.
 
 Every core table — WFD and C=D cores, peephole cores, dedicated cores
 and DP-WRAP cluster cores — comes out of one per-core pipeline,
-:func:`repro.core.edfcore.materialize_core`.  Replanning is incremental
-at three levels.  Per-core tables are memoized by exact task set
-(`_core_cache`), so a census that changes one VM only reruns the cores
-WFD actually repacked; a core whose tasks differ from an earlier one
-only in names is rebound from the pipeline's process-wide shape cache.
-Whole plans are memoized by exact census + knobs (`_plan_memo`), so the
-daemon's periodic same-census regeneration is a lookup.  And every
-result reports ``stats.changed_cores`` — the cores whose tables differ
-from the previous plan — which is what lets the daemon push per-core
-column deltas instead of full tables.
+:func:`repro.core.edfcore.run_pipeline`.  Replanning is incremental
+at two levels.  Each core is first looked up in the pipeline's
+process-wide shape cache (:func:`repro.core.edfcore.lookup_core`), so a
+census that changes one VM only reruns the cores WFD handed a new task
+shape, and a core whose tasks differ from an earlier one only in names
+is bound to the cached record under its own names (an O(vCPUs) bind
+that builds no allocation).  Cores bound to one record share its
+segments, which is how the daemon's delta push finds the unchanged ones
+cheaply.  Whole plans are memoized by exact census + knobs
+(`_plan_memo`), so the daemon's periodic same-census regeneration is a
+lookup.
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ from repro.core.affinity import CoschedulingPolicy, constrained_worst_fit
 from repro.core.edfcore import (
     BoundCore,
     CoreRecord,
-    base_names_of,
     estimate_jobs,
-    materialize_core,
+    lookup_core,
+    remember_core,
+    run_pipeline,
 )
 from repro.core.optimal import dp_wrap_schedule, grow_cluster
 from repro.core.params import VCpuSpec, VMSpec, flatten_vcpus
@@ -78,17 +80,15 @@ METHOD_CLUSTERED = "clustered"
 #: than just running the kernels serially.
 PARALLEL_MIN_JOBS = 120_000
 
-#: Maximum per-core table memo entries kept by one planner (LRU).
-CORE_CACHE_SIZE = 512
-
 #: Whole-plan value memo entries (exact census + knobs -> PlanResult).
 PLAN_MEMO_SIZE = 4
 
 #: vCPU -> task conversion memo bound (cleared wholesale when full).
 TASK_CACHE_SIZE = 4096
 
-#: Cache-miss cores awaiting the pipeline: (core, tasks, core-cache key).
-_Pending = List[Tuple[int, List[PeriodicTask], Tuple]]
+#: Shape-cache misses awaiting the pipeline, one core per shape: (core,
+#: tasks, shape key).
+_Pending = List[Tuple[int, List[PeriodicTask], tuple]]
 
 @dataclass
 class CensusDelta:
@@ -123,10 +123,6 @@ class PlanStats:
     #: being generated (generation_seconds then reports the *original*
     #: generation cost, not the lookup cost).
     plan_cache_hit: bool = False
-    #: Cores whose tables differ from this planner's previous plan
-    #: (``None`` when there is no previous plan or the core sets differ;
-    #: callers must then treat every core as changed).
-    changed_cores: Optional[List[int]] = None
 
 
 @dataclass
@@ -182,11 +178,12 @@ class Planner:
             pool never engages on single-CPU hosts, where it can only
             lose.
 
-    The planner memoizes at two levels: finished core tables keyed by
-    the exact task set handed to a core (so replanning an incrementally
-    changed census only reruns cores whose task sets actually changed),
-    and whole plans keyed by the exact census plus every knob (so
-    periodic same-census regeneration is a dictionary lookup).
+    The planner memoizes at two levels: each core's name-free record in
+    the process-wide shape cache (so replanning an incrementally changed
+    census only reruns cores handed a new task shape), and whole plans
+    keyed by the exact census plus every knob (so periodic same-census
+    regeneration is a dictionary lookup).  ``core_cache_hits`` and
+    ``core_cache_misses`` count shape-cache lookups per core.
     """
 
     def __init__(
@@ -219,17 +216,12 @@ class Planner:
         self.numa = numa
         self.parallel = parallel
         self.last_numa_report: Optional[NumaReport] = None
-        self._core_cache: "OrderedDict[Tuple, BoundCore]" = OrderedDict()
         self.core_cache_hits = 0
         self.core_cache_misses = 0
         self._plan_memo: "OrderedDict[Tuple, PlanResult]" = OrderedDict()
         self.plan_memo_hits = 0
         self.plan_memo_misses = 0
         self._task_cache: Dict[VCpuSpec, PeriodicTask] = {}
-        #: Core tables of the previous plan, for changed-core detection
-        #: (allocation-list identity: the core memo shares allocation
-        #: lists across reissues, so `is` equality means byte equality).
-        self._last_tables: Optional[Dict[int, CoreTable]] = None
         #: The census last planned, the base `plan_delta` diffs against.
         self._census: Optional[List[VCpuSpec]] = None
 
@@ -262,10 +254,9 @@ class Planner:
 
         Equivalent to editing the census by hand and calling
         :meth:`plan` — the differential suite holds the two bit-equal —
-        but states the *intent*: the per-core memo then confines EDF
-        re-simulation to the cores WFD actually repacked, and
-        ``stats.changed_cores`` tells the daemon which per-core columns
-        to push.
+        but states the *intent*: a core WFD handed the same tasks as
+        before is bound to the same segments, which is what the daemon's
+        delta push leaves out.
         """
         base = self._census
         if base is None:
@@ -406,9 +397,6 @@ class Planner:
         self._validate_assembled(system)
         self._check_guarantees(system.cores, vcpus, task_index, info)
 
-        changed = self._diff_tables(system.cores)
-        self._last_tables = system.cores
-
         stats = PlanStats(
             method=method,
             # repro: allow[det-wallclock] -- stats only, never scheduling state
@@ -419,7 +407,6 @@ class Planner:
             cluster_cores=cluster_cores,
             coalesce=report,
             peephole=peephole_report,
-            changed_cores=changed,
         )
         stats.table_bytes = table_size_bytes(system)
         result = PlanResult(
@@ -442,14 +429,11 @@ class Planner:
         The table/tasks/assignment are structurally shared (immutable
         after planning); the stats object is rebuilt so callers mutating
         flags (``plan_cache_hit``, ``compensated_vcpus``) cannot poison
-        the memoized original, and ``changed_cores`` reflects *this*
-        call's position in the plan sequence, not the original's.
+        the memoized original.
         """
         old = cached.stats
-        changed = self._diff_tables(cached.table.cores)
-        self._last_tables = cached.table.cores
         # A whole-plan hit reuses every core table, so it counts as a
-        # full sweep of core-cache hits (and zero new simulations).
+        # full sweep of shape-cache hits (and zero new simulations).
         self.core_cache_hits += len(cached.table.cores)
         stats = PlanStats(
             method=old.method,
@@ -462,7 +446,6 @@ class Planner:
             table_bytes=old.table_bytes,
             coalesce=old.coalesce,
             peephole=old.peephole,
-            changed_cores=changed,
         )
         return PlanResult(
             table=cached.table,
@@ -472,25 +455,6 @@ class Planner:
             admission=cached.admission,
             stats=stats,
         )
-
-    def _diff_tables(
-        self, core_tables: Dict[int, CoreTable]
-    ) -> Optional[List[int]]:
-        """Cores whose tables differ from the previous plan, by identity.
-
-        Reissued and memoized tables share allocation lists with their
-        originals, so `is` comparison is exact: shared list -> identical
-        table.  ``None`` (not ``[]``) when no previous plan exists or
-        the core sets differ — the caller must then push everything.
-        """
-        previous = self._last_tables
-        if previous is None or previous.keys() != core_tables.keys():
-            return None
-        return [
-            cpu
-            for cpu in sorted(core_tables)
-            if previous[cpu].allocations is not core_tables[cpu].allocations
-        ]
 
     # ------------------------------------------------------------------
     # Stages
@@ -601,110 +565,81 @@ class Planner:
         cluster_tasks: Optional[List[PeriodicTask]],
         cluster_cores: List[int],
     ) -> Dict[int, BoundCore]:
-        """Every core through :func:`materialize_core`, behind two caches.
+        """Every core's record, from the shape cache or the pipeline.
 
-        A finished core depends only on the (ordered) task set it was
-        generated from.  The per-planner LRU, keyed by that task set with
-        its names, reissues an identical core with no work at all
-        (sharing its allocation list and segment columns); a hit whose
-        core also held the identical table in the *previous* plan reuses
-        that exact object, keeping unchanged cores identity-stable for
-        the delta push.  Misses run the pipeline — whose shape cache
-        rebinds a core that differs from an earlier one only in names —
-        serially or (for large task systems on multi-CPU hosts) in a
-        process pool; all paths produce bit-identical tables.  Cluster
-        cores enter the pipeline with their DP-WRAP layout, uncached.
+        Each core is looked up in the shape cache first
+        (:func:`~repro.core.edfcore.lookup_core`); only the misses run
+        the pipeline, serially or (for large task systems on multi-CPU
+        hosts) in a process pool — all paths produce bit-identical
+        records — and are cached here.  Each record is then bound to its
+        core's names (:meth:`CoreRecord.bind`).  Cluster cores run the
+        pipeline's last stages on their DP-WRAP layout, uncached.
         """
+        horizon = self.hyperperiod_ns
+        threshold_ns = self.coalesce_threshold_ns
         cores: Dict[int, BoundCore] = {}
-        cache = self._core_cache
-        last = self._last_tables
-        pending: _Pending = []
+        pending: Dict[tuple, Tuple[int, List[PeriodicTask]]] = {}
+        missed: List[Tuple[int, List[str], tuple]] = []
         for core, tasks in per_core.items():
-            key = self._core_key(tasks)
-            bound = cache.get(key)
-            if bound is None:
-                self.core_cache_misses += 1
-                pending.append((core, tasks, key))
+            names, shape, record = lookup_core(
+                tasks, horizon, threshold_ns, self.peephole
+            )
+            if record is not None:
+                self.core_cache_hits += 1
+                cores[core] = record.bind(core, names)
                 continue
-            cache.move_to_end(key)
-            self.core_cache_hits += 1
-            table = last.get(core) if last is not None else None
-            if table is None or table.allocations is not bound.table.allocations:
-                table = _reissue_table(bound.table, core)
-            cores[core] = BoundCore(table, bound.coalesce, bound.names, bound.record)
-
-        for (core, tasks, key), record in zip(
-            pending, self._materialize_pending(pending)
-        ):
-            bound = record.bind(core, base_names_of(tasks)[0])
-            cores[core] = bound
-            cache[key] = bound
-            if len(cache) > CORE_CACHE_SIZE:
-                cache.popitem(last=False)
+            self.core_cache_misses += 1
+            # Cores of one missed shape share one pipeline run.
+            pending.setdefault(shape, (core, tasks))
+            missed.append((core, names, shape))
+        runs = self._materialize_pending(
+            [(core, tasks, shape) for shape, (core, tasks) in pending.items()]
+        )
+        records = {
+            shape: remember_core(shape, record) for shape, record in zip(pending, runs)
+        }
+        for core, names, shape in missed:
+            cores[core] = records[shape].bind(core, names)
 
         if cluster_tasks is not None:
             # Replaces the cluster cores' empty placeholders above.
-            horizon = self.hyperperiod_ns
             index_of = {task.name: index for index, task in enumerate(cluster_tasks)}
-            names = base_names_of(cluster_tasks)[0]
+            # A cluster core's record depends on its layout: never cached.
+            names, shape, _cached = lookup_core(
+                cluster_tasks, horizon, threshold_ns, False
+            )
             layouts = dp_wrap_schedule(cluster_tasks, cluster_cores, horizon)
             for core, layout in layouts.items():
                 _starts, ends, ids = layout.as_arrays(index_of.__getitem__)
-                record = materialize_core(
-                    cluster_tasks,
-                    horizon,
-                    self.coalesce_threshold_ns,
-                    cpu=core,
-                    layout=(ends, ids),
-                )
+                record = run_pipeline(cluster_tasks, shape, core, (ends, ids))
                 cores[core] = record.bind(core, names)
         return cores
 
-    def _core_key(self, tasks: Sequence[PeriodicTask]) -> Tuple:
-        # Order matters: EDF breaks deadline ties by release sequence,
-        # which follows task position, so the key must be the ordered
-        # tuple (plus every planner knob the materialization reads).
-        return (
-            tuple((t.name, t.cost, t.period, t.deadline, t.offset) for t in tasks),
-            self.hyperperiod_ns,
-            self.coalesce_threshold_ns,
-            self.peephole,
-        )
-
     def _materialize_pending(self, pending: _Pending) -> List[CoreRecord]:
-        """Records of the cache-miss cores, in processes when large enough."""
+        """Records of the cache-miss shapes, in processes when large enough."""
         if (
             self.parallel
             and len(pending) >= 2
             and (os.cpu_count() or 1) >= 2  # repro: allow[det-env-branch]
         ):
             jobs = 0
-            for _core, tasks, _key in pending:
+            for _core, tasks, _shape in pending:
                 jobs += estimate_jobs(tasks, self.hyperperiod_ns)
             if jobs >= PARALLEL_MIN_JOBS:
                 records = self._materialize_parallel(pending)
                 if records is not None:
                     return records
-        return [
-            materialize_core(
-                tasks,
-                self.hyperperiod_ns,
-                self.coalesce_threshold_ns,
-                self.peephole,
-                core,
-            )
-            for core, tasks, _key in pending
-        ]
+        return [run_pipeline(tasks, shape, core) for core, tasks, shape in pending]
 
     def _materialize_parallel(
         self, pending: _Pending
     ) -> Optional[List[CoreRecord]]:
         """Fan cache-miss cores out to a process pool (None on failure).
 
-        Workers run :func:`materialize_core` and return its name-free
-        records, which the parent binds like any other.  Any pool-level
-        failure falls back to the serial path, which computes the
-        identical result.
+        Workers run :func:`~repro.core.edfcore.run_pipeline` and return
+        its name-free records, which the parent caches and binds like
+        any other.  Any pool-level failure falls back to the serial
+        path, which computes the identical result.
         """
         count = len(pending)
         try:
@@ -716,12 +651,10 @@ class Planner:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(
                     pool.map(
-                        materialize_core,
-                        [tasks for _core, tasks, _key in pending],
-                        [self.hyperperiod_ns] * count,
-                        [self.coalesce_threshold_ns] * count,
-                        [self.peephole] * count,
-                        [core for core, _tasks, _key in pending],
+                        run_pipeline,
+                        [tasks for _core, tasks, _shape in pending],
+                        [shape for _core, _tasks, shape in pending],
+                        [core for core, _tasks, _shape in pending],
                     )
                 )
         except Exception:
@@ -737,10 +670,10 @@ class Planner:
         """Build the system table with a precomputed vCPU index.
 
         Walking each record's served vCPUs reproduces exactly what
-        ``SystemTable._rebuild_index`` would derive from the allocation
-        lists — names in first-discovery order over sorted cores, home
-        cores in first-allocation time order — at O(vCPUs) instead of
-        O(allocations).  Also returns, per vCPU, its ``(core, record,
+        ``SystemTable._rebuild_index`` would derive from the tables —
+        names in first-discovery order over sorted cores, home cores in
+        first-allocation time order — with the first starts the record
+        already holds.  Also returns, per vCPU, its ``(core, record,
         base index)`` entries for the audit stages.
         """
         names: List[str] = []
@@ -751,7 +684,7 @@ class Planner:
             record = core.record
             core_names = core.names
             first_starts = record.first_starts
-            for base in record.order:
+            for base in record.segments.served:
                 name = core_names[base]
                 entries = homes.get(name)
                 if entries is None:
@@ -775,8 +708,8 @@ class Planner:
     def _validate_assembled(self, system: SystemTable) -> None:
         """No-parallel-service check (:meth:`SystemTable.parallel_service`).
 
-        Per-core layout was already validated when each table was
-        materialized (and memo hits share validated allocation lists),
+        Per-core layout was already validated when each record was
+        materialized (and every table bound to it shares its segments),
         so the only whole-system hazard left is a vCPU with allocations
         on several cores overlapping itself.
         """
@@ -866,30 +799,6 @@ def _merged_blackout(
             previous_end = end
     wrap = first_start + horizon - previous_end
     return worst if worst > wrap else wrap
-
-
-def _reissue_table(template: CoreTable, cpu: int) -> CoreTable:
-    """A cached core table re-targeted at ``cpu``.
-
-    Allocation, slice, and segment-column containers are shared with the
-    template — they are never mutated in place (rebuilds always assign
-    fresh containers) — so a cache hit costs one small object, not a
-    table copy, and ``as_arrays`` stays zero-copy across reissues.
-    """
-    return CoreTable(
-        cpu=cpu,
-        length_ns=template.length_ns,
-        allocations=template.allocations,
-        slice_len_ns=template.slice_len_ns,
-        slices=template.slices,
-        _starts=template._starts,
-        _bounds=template._bounds,
-        _seg_starts=template._seg_starts,
-        _seg_ends=template._seg_ends,
-        _seg_local=template._seg_local,
-        _seg_names=template._seg_names,
-        _min_alloc_ns=template._min_alloc_ns,
-    )
 
 
 def plan_tables(

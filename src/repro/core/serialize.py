@@ -65,18 +65,27 @@ _ARRAY_CPU_HEADER = struct.Struct("<II")
 #: Flags stored per allocation record.
 FLAG_IDLE = 0x1
 
+#: An explicit idle record's vCPU id and flags words (-1, FLAG_IDLE) read
+#: as one little-endian 64-bit value.
+_IDLE_WORD = FLAG_IDLE << 32 | 0xFFFFFFFF
+
 
 def serialize(table: SystemTable) -> bytes:
-    """Encode a system table into the binary hypercall payload."""
-    if not table.vcpu_names and any(
-        a.vcpu is not None
-        for core in table.cores.values()
-        for a in core.allocations
-    ):
-        raise TableFormatError("system table has allocations but no vCPU index")
+    """Encode a system table into the binary hypercall payload.
+
+    Each core's records are written from its columns
+    (:meth:`~repro.core.table.CoreTable.record_columns`) as one block.
+    """
     vcpu_ids: Dict[str, int] = {
         name: index for index, name in enumerate(table.vcpu_names)
     }
+
+    def vcpu_id(name: str) -> int:
+        try:
+            return vcpu_ids[name]
+        except KeyError:
+            raise TableFormatError(f"vCPU {name!r} is not in the vCPU index") from None
+
     chunks: List[bytes] = [
         _HEADER.pack(
             MAGIC, VERSION, len(table.cores), table.length_ns, len(vcpu_ids), 0
@@ -91,21 +100,23 @@ def serialize(table: SystemTable) -> bytes:
         if not core.slices:
             core.build_slices()
         slices = core.slices
+        starts, ends, handles = core.record_columns(vcpu_id)
         chunks.append(
-            _CPU_HEADER.pack(
-                cpu, len(core.allocations), core.slice_len_ns, len(slices) // 2, 0
-            )
+            _CPU_HEADER.pack(cpu, len(starts), core.slice_len_ns, len(slices) // 2, 0)
         )
-        for alloc in core.allocations:
-            if alloc.vcpu is None:
-                chunks.append(_ALLOC.pack(alloc.start, alloc.end, -1, FLAG_IDLE))
-            else:
-                chunks.append(
-                    _ALLOC.pack(alloc.start, alloc.end, vcpu_ids[alloc.vcpu], 0)
-                )
+        # Each 32-byte record as four 64-bit words: start, end, the vCPU
+        # id and flags words, padding.
+        records = array("q", (0, 0, 0, 0)) * len(starts)
+        records[0::4] = starts
+        records[1::4] = ends
+        if -1 in handles:
+            handles = array("q", [_IDLE_WORD if h < 0 else h for h in handles])
+        records[2::4] = handles
         if sys.byteorder != "little":  # pragma: no cover - BE hosts only
+            records.byteswap()
             slices = slices[:]
             slices.byteswap()
+        chunks.append(records.tobytes())
         chunks.append(slices.tobytes())
     return b"".join(chunks)
 
@@ -125,9 +136,8 @@ def deserialize(payload: bytes) -> SystemTable:
     as the floor, so a floored table round-trips) and the wire copy must
     match it exactly.  The wire geometry is checked against the records
     *before* the derivation, so the derivation is never larger than the
-    payload that carried it.  The vCPU index is derived from the same
-    columns, in the order :class:`SystemTable` derives it from
-    allocations.
+    payload that carried it.  :class:`SystemTable` derives the vCPU
+    index from the same columns.
     """
     view = memoryview(payload)
     offset = 0
@@ -158,7 +168,6 @@ def deserialize(payload: bytes) -> SystemTable:
     by_id: List[Optional[str]] = [*names, None]
 
     cores: Dict[int, CoreTable] = {}
-    columns: Dict[int, Tuple[array, List[Optional[str]]]] = {}
     for _ in range(ncpus):
         cpu, nallocs, slice_len, nslices, _ = take(_CPU_HEADER)
         if cpu in cores:
@@ -187,16 +196,9 @@ def deserialize(payload: bytes) -> SystemTable:
                 f"cpu{cpu}: slice records disagree with its allocations"
             )
         cores[cpu] = core
-        columns[cpu] = (starts, vcpus)
     _check_consumed(view, offset)
 
-    vcpu_names, home_cores = _vcpu_index(columns)
-    table = SystemTable(
-        length_ns=length_ns,
-        cores=cores,
-        vcpu_names=vcpu_names,
-        home_cores=home_cores,
-    )
+    table = SystemTable(length_ns=length_ns, cores=cores)
     check_parallel_service(table)
     return table
 
@@ -290,33 +292,6 @@ def _check_layout(cpu: int, starts: array, ends: array, length_ns: int) -> None:
             previous_end = end
             continue
         raise TableFormatError(f"cpu{cpu}: record [{start}, {end}) {problem}")
-
-
-def _vcpu_index(
-    columns: Dict[int, Tuple[array, List[Optional[str]]]],
-) -> Tuple[List[str], Dict[str, List[int]]]:
-    """``vcpu_names`` and ``home_cores`` from per-cpu ``(starts, vcpus)``.
-
-    The same order ``SystemTable`` derives from allocation lists: names
-    in first-discovery order over sorted cpus, home cores in the time
-    order of each vCPU's first record on them.
-    """
-    homes: Dict[str, List[Tuple[int, int]]] = {}
-    for cpu in sorted(columns):
-        starts, vcpus = columns[cpu]
-        for vcpu in dict.fromkeys(vcpus):
-            if vcpu is not None:
-                entry = (starts[vcpus.index(vcpu)], cpu)
-                entries = homes.get(vcpu)
-                if entries is None:
-                    homes[vcpu] = [entry]
-                else:
-                    entries.append(entry)
-    home_cores = {
-        vcpu: [cpu for _start, cpu in sorted(entries)]
-        for vcpu, entries in homes.items()
-    }
-    return list(homes), home_cores
 
 
 def serialize_arrays(table: SystemTable) -> bytes:
@@ -532,6 +507,6 @@ def table_size_bytes(table: SystemTable) -> int:
             else:
                 nslices = -(-core.length_ns // max(shortest, 1))
         size += _CPU_HEADER.size
-        size += _ALLOC.size * len(core.allocations)
+        size += _ALLOC.size * core.allocation_count
         size += _SLICE.size * nslices
     return size

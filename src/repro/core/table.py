@@ -8,9 +8,14 @@ equals the length of that core's shortest allocation, which guarantees a
 slice never overlaps more than two allocations, so a dispatch decision
 touches at most two records.
 
-A table decoded from the binary push format keeps its records as
-integer columns and builds its :class:`Allocation` list only when first
-read (see :meth:`CoreTable.from_records`).
+Each core's schedule is one name-free :class:`Segments` object plus a
+list of vCPU names.  The segments are shared: every table bound to the
+same segments (same-shape cores, rebinds under other names) reads the
+same columns and the same slice table.  A table built from columns
+(:meth:`CoreTable.bound`) or decoded from the binary push format
+(:meth:`CoreTable.from_records`) builds its :class:`Allocation` list only
+when first read; a table built from an allocation list derives its
+segments on first need, and again if the list is replaced.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from operator import sub
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.tasks import PeriodicTask
 from repro.errors import ConfigurationError, PlanningError
@@ -29,6 +36,11 @@ IDLE = None
 #: Slice-table entry of a slice that overlaps more than two allocations
 #: (only possible under a slice-length floor): lookups binary-search instead.
 _CROWDED = -2
+
+#: A derived slice table: slice length, the ``array('i')`` slice column,
+#: allocation starts and every allocation boundary (see
+#: :meth:`CoreTable.derive_slices`).
+Geometry = Tuple[int, array, List[int], List[int]]
 
 #: A decoded table's record columns: starts, ends, and each record's vCPU
 #: name (``None`` for an idle record).
@@ -61,6 +73,80 @@ class Allocation:
     @property
     def length(self) -> int:
         return self.end - self.start
+
+
+@dataclass(eq=False)
+class Segments:
+    """One core's schedule without vCPU names: gap-free segment columns.
+
+    ``starts``/``ends``/``ids`` cover ``[0, length)`` in time order; a
+    segment's id indexes the names list of the table bound to it, and
+    ``-1`` marks idle time.  Every segment with an id is one allocation
+    (an explicit idle record has an id whose name is ``None``), so
+    allocation ``k`` of a bound table is its ``k``-th segment with an id.
+    Never mutated after construction, except that :attr:`geometry` is
+    filled in by the first :meth:`CoreTable.build_slices` that needs it
+    and then serves every table bound to these segments.
+    """
+
+    starts: array
+    ends: array
+    ids: array
+    #: The allocations (the segments with an id): starts, ends and ids.
+    records: Tuple[array, array, array]
+    #: Shortest allocation, ``None`` on an idle core.
+    min_alloc_ns: Optional[int]
+    #: The ids in use, in the order of their first segment.
+    served: List[int]
+    geometry: Optional[Geometry] = None
+
+    @classmethod
+    def from_columns(cls, ends: array, ids: array) -> "Segments":
+        """Segments over gap-free ``(ends, ids)`` columns (first start 0)."""
+        starts = array("q", (0,)) + ends[:-1]
+        kept = list(map((0).__le__, ids))
+        starts_r, ends_r, ids_r = (
+            array("q", compress(column, kept)) for column in (starts, ends, ids)
+        )
+        return cls(
+            starts,
+            ends,
+            ids,
+            (starts_r, ends_r, ids_r),
+            min(map(sub, ends_r, starts_r), default=None),
+            [i for i in dict.fromkeys(ids) if i >= 0],
+        )
+
+    @classmethod
+    def from_records(
+        cls, length_ns: int, records: Iterable[Tuple[int, int, Optional[str]]]
+    ) -> Tuple["Segments", List[Optional[str]]]:
+        """Segments and names of time-ordered ``(start, end, vcpu)``
+        allocation records.
+
+        Gaps become idle segments; each distinct record name (``None``
+        for an explicit idle record) gets the next id.
+        """
+        seg_ends = array("q")
+        ids = array("q")
+        names: List[Optional[str]] = []
+        id_of: Dict[Optional[str], int] = {}
+        cursor = 0
+        for start, end, vcpu in records:
+            if start > cursor:
+                seg_ends.append(start)
+                ids.append(-1)
+            handle = id_of.get(vcpu)
+            if handle is None:
+                handle = id_of[vcpu] = len(names)
+                names.append(vcpu)
+            seg_ends.append(end)
+            ids.append(handle)
+            cursor = end
+        if cursor < length_ns:
+            seg_ends.append(length_ns)
+            ids.append(-1)
+        return cls.from_columns(seg_ends, ids), names
 
 
 @dataclass
@@ -96,26 +182,38 @@ class CoreTable:
     _memo: Optional[Tuple[int, int, Optional[Allocation]]] = field(
         default=None, repr=False, compare=False
     )
-    #: Gap-free segment columns in the :meth:`as_arrays` layout with
-    #: *core-local* handles (indices into :attr:`_seg_names`; -1 = idle).
-    #: Attached by the columnar planner kernels; derived lazily from the
-    #: allocation list for every other table.  Sharing them is what makes
-    #: plan transport zero-copy: ``as_arrays`` only translates local
-    #: handles to a caller's global ids, it never rescans allocations.
-    _seg_starts: Optional[array] = field(default=None, repr=False, compare=False)
-    _seg_ends: Optional[array] = field(default=None, repr=False, compare=False)
-    _seg_local: Optional[array] = field(default=None, repr=False, compare=False)
-    _seg_names: Optional[List[str]] = field(default=None, repr=False, compare=False)
-    #: Last ``as_arrays`` answer, keyed by the local->global handle map.
-    _arrays_memo: Optional[Tuple[Tuple[int, ...], Tuple[array, array, array]]] = (
-        field(default=None, repr=False, compare=False)
+    #: The schedule as shared segment columns, and the names their ids
+    #: index.  Set by :meth:`bound`; derived on first need otherwise.
+    _segments: Optional[Segments] = field(default=None, repr=False, compare=False)
+    _names: Optional[Sequence[Optional[str]]] = field(
+        default=None, repr=False, compare=False
     )
-    #: Shortest allocation, cached at column-attach time (tables with
-    #: columns are planner-produced and never mutated afterwards).
-    _min_alloc_ns: Optional[int] = field(default=None, repr=False, compare=False)
+    #: The allocation list the segments hold: the one they were derived
+    #: from, or built (``None`` until a lazy table builds it).  A table
+    #: whose ``allocations`` were replaced derives its segments again.
+    _source: Optional[List[Allocation]] = field(
+        default=None, repr=False, compare=False
+    )
     #: Record columns of a decoded table (:meth:`from_records`); its
     #: ``allocations`` list is built from them on first read.
     _records: Optional[Records] = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def bound(
+        cls,
+        cpu: int,
+        length_ns: int,
+        segments: Segments,
+        names: Sequence[Optional[str]],
+    ) -> "CoreTable":
+        """A table over shared ``segments``, segment id ``i`` named
+        ``names[i]``, with their slice table if one was derived.  Builds
+        no :class:`Allocation` until :attr:`allocations` is read."""
+        table = cls(cpu=cpu, length_ns=length_ns, _segments=segments, _names=names)
+        del table.allocations  # read through _LazyAllocations from now on
+        if segments.geometry is not None:
+            table._install(segments.geometry)
+        return table
 
     @classmethod
     def from_records(
@@ -131,21 +229,42 @@ class CoreTable:
         ``starts``/``ends``/``vcpus`` are the time-ordered, non-overlapping
         records of a decoded push.  The :class:`Allocation` list is built
         from them on the first read of :attr:`allocations` and cached, so
-        a staged table that is never dispatched never builds one.
+        a staged table that is never dispatched never builds one.  Its
+        segments too are derived on first need, not at decode time, which
+        would add a pass over every record to every push.
         """
         table = cls(cpu=cpu, length_ns=length_ns, _records=(starts, ends, vcpus))
         del table.allocations  # read through _LazyAllocations from now on
         return table
 
     def __getstate__(self) -> Dict[str, object]:
-        # Pickles hold the allocation list (a decoded table builds it
-        # here), never the record columns, so a decoded table pickles
-        # like any other.  Transient lookup memos are dropped (plan-store
-        # entries, process-pool transfers); the segment columns travel.
+        # Pickles hold the allocation list (a lazy table builds it here)
+        # and the slice table, never the columns, so every table pickles
+        # alike; an unpickled table derives its segments on first need.
+        # The transient lookup memo is dropped.
         state = {name: getattr(self, name) for name in _PICKLED_FIELDS}
         state["_memo"] = None
-        state["_arrays_memo"] = None
         return state
+
+    def _columns(self) -> Tuple[Segments, Sequence[Optional[str]]]:
+        """The table's segments and names: derived once from its
+        allocations (or a decoded table's records), and again if
+        ``allocations`` is replaced."""
+        segments = self._segments
+        allocations = self.__dict__.get("allocations")
+        if segments is None or allocations is not self._source:
+            rows: Iterable[Tuple[int, int, Optional[str]]]
+            if allocations is not None:
+                rows = ((a.start, a.end, a.vcpu) for a in allocations)
+            else:
+                assert self._records is not None  # else bound to segments
+                rows = zip(*self._records)
+            segments, self._names = Segments.from_records(self.length_ns, rows)
+            self._segments = segments
+            self._source = allocations
+        names = self._names
+        assert names is not None  # set with the segments
+        return segments, names
 
     def validate_layout(self) -> None:
         """Check ordering, bounds, and non-overlap of the allocations."""
@@ -171,11 +290,12 @@ class CoreTable:
     def utilization(self) -> float:
         return self.busy_ns / self.length_ns
 
+    @property
+    def allocation_count(self) -> int:
+        return len(self._columns()[0].records[0])
+
     def min_allocation_ns(self) -> Optional[int]:
-        if self._min_alloc_ns is not None:
-            return self._min_alloc_ns
-        lengths = [a.end - a.start for a in self.allocations]
-        return min(lengths) if lengths else None
+        return self._columns()[0].min_alloc_ns
 
     def build_slices(self, min_slice_len_ns: int = 1) -> None:
         """Construct the O(1) slice table.
@@ -186,26 +306,40 @@ class CoreTable:
         at-most-two-allocations invariant may no longer hold and lookups
         transparently fall back to binary search for affected slices.
         An always-idle core gets one slice covering the whole table.
+
+        The unfloored slice table is derived once per :class:`Segments`
+        and kept there: every table bound to the same segments installs
+        it.
         """
-        shortest = self.min_allocation_ns()
+        segments, _names = self._columns()
+        shortest = segments.min_alloc_ns
         if shortest is None:
             slice_len = self.length_ns
         else:
             slice_len = max(shortest, min_slice_len_ns)
-        allocations = self.allocations
-        self.derive_slices(
-            [a.start for a in allocations], [a.end for a in allocations], slice_len
-        )
+        geometry = segments.geometry
+        if geometry is not None and geometry[0] == slice_len:
+            self._install(geometry)
+            return
+        starts, ends, _ids = segments.records
+        self.derive_slices(starts.tolist(), ends, slice_len)
+        if shortest is None or slice_len == shortest:
+            segments.geometry = (slice_len, self.slices, self._starts, self._bounds)
+
+    def _install(self, geometry: Geometry) -> None:
+        self._memo = None
+        self.slice_len_ns, self.slices, self._starts, self._bounds = geometry
 
     def derive_slices(
         self, starts: List[int], ends: Sequence[int], slice_len: int
     ) -> None:
         """Install the slice table of ``slice_len``-ns slices over records.
 
-        The one slice-table derivation: :meth:`build_slices` feeds it the
-        allocation list, the ``'TBLO'`` decoder a push's validated record
-        columns.  ``starts``/``ends`` must be time-ordered and
-        non-overlapping, and ``slice_len`` at least the shortest record.
+        The one slice-table derivation: :meth:`build_slices` feeds it a
+        table's segment columns, the ``'TBLO'`` decoder a push's
+        validated record columns.  ``starts``/``ends`` must be
+        time-ordered and non-overlapping, and ``slice_len`` at least the
+        shortest record.
 
         One pass over the records: each claims the slices it covers.  Its
         interior slices hold it alone; only its two boundary slices can
@@ -312,74 +446,58 @@ class CoreTable:
         return None
 
     def service_intervals(self, vcpu: str) -> List[Tuple[int, int]]:
+        segments, names = self._columns()
+        wanted = {i for i in segments.served if names[i] == vcpu}
+        starts, ends, ids = segments.records
+        return [(start, end) for start, end, i in zip(starts, ends, ids) if i in wanted]
+
+    def served(self) -> List[Tuple[str, int]]:
+        """Each vCPU this core serves, with the start of its first
+        allocation here, in the order of those starts."""
         records = self._records
-        if records is None:
-            return [(a.start, a.end) for a in self.allocations if a.vcpu == vcpu]
-        starts, ends, vcpus = records
-        return [(s, e) for s, e, v in zip(starts, ends, vcpus) if v == vcpu]
+        if records is not None and "allocations" not in self.__dict__:
+            # A decoded table read from its records, deriving nothing.
+            starts, _ends, vcpus = records
+            return [
+                (vcpu, starts[vcpus.index(vcpu)])
+                for vcpu in dict.fromkeys(vcpus)
+                if vcpu is not None
+            ]
+        segments, names = self._columns()
+        served: List[Tuple[str, int]] = []
+        for i in segments.served:
+            name = names[i]
+            if name is not None:
+                served.append((name, segments.starts[segments.ids.index(i)]))
+        return served
 
-    def attach_columns(
-        self,
-        seg_starts: array,
-        seg_ends: array,
-        seg_local: array,
-        seg_names: List[str],
-    ) -> None:
-        """Install planner-produced segment columns (zero-copy transport).
+    def same_schedule(self, other: "CoreTable") -> bool:
+        """Whether both tables hold equal :attr:`allocations`, compared
+        on their columns (only the names, when they share segments)."""
+        mine, names = self._columns()
+        theirs, other_names = other._columns()
+        if mine is theirs:
+            return all(names[i] == other_names[i] for i in mine.served)
+        if mine.ends != theirs.ends:
+            return False
+        if mine.ids == theirs.ids:
+            return all(names[i] == other_names[i] for i in mine.served)
+        # Ids numbered apart: compare every segment's name (-1 keeps gaps
+        # apart from explicit idle records).
+        return [i if i < 0 else names[i] for i in mine.ids] == [
+            i if i < 0 else other_names[i] for i in theirs.ids
+        ]
 
-        ``seg_local`` holds indices into ``seg_names`` (-1 = idle); the
-        columns must be the exact :meth:`as_arrays` flattening of
-        :attr:`allocations`.  The shortest-allocation length is cached
-        here too, so slice sizing and the serialized-size estimate never
-        rescan the allocation list.
-        """
-        self._seg_starts = seg_starts
-        self._seg_ends = seg_ends
-        self._seg_local = seg_local
-        self._seg_names = seg_names
-        self._arrays_memo = None
-        shortest: Optional[int] = None
-        for index in range(len(seg_local)):
-            if seg_local[index] < 0:
-                continue
-            length = seg_ends[index] - seg_starts[index]
-            if shortest is None or length < shortest:
-                shortest = length
-        self._min_alloc_ns = shortest
-
-    def _derive_columns(self) -> None:
-        """Build the local-handle segment columns from the allocations."""
-        starts = array("q")
-        ends = array("q")
-        local = array("q")
-        names: List[str] = []
-        ids: Dict[str, int] = {}
-        cursor = 0
-        for alloc in self.allocations:
-            if alloc.start > cursor:
-                starts.append(cursor)
-                ends.append(alloc.start)
-                local.append(-1)
-            starts.append(alloc.start)
-            ends.append(alloc.end)
-            if alloc.vcpu is None:
-                local.append(-1)
-            else:
-                handle = ids.get(alloc.vcpu)
-                if handle is None:
-                    handle = len(names)
-                    ids[alloc.vcpu] = handle
-                    names.append(alloc.vcpu)
-                local.append(handle)
-            cursor = alloc.end
-        if cursor < self.length_ns:
-            starts.append(cursor)
-            ends.append(self.length_ns)
-            local.append(-1)
-        self._seg_starts = starts
-        self._seg_ends = ends
-        self._seg_local = local
-        self._seg_names = names
+    def renamed(self, rename: Dict[str, str]) -> "CoreTable":
+        """This schedule with vCPU ``old`` renamed ``rename[old]``: a table
+        bound to the same segments, so it shares their slice table."""
+        segments, names = self._columns()
+        return CoreTable.bound(
+            self.cpu,
+            self.length_ns,
+            segments,
+            [None if name is None else rename[name] for name in names],
+        )
 
     def as_arrays(
         self, vcpu_id: Callable[[str], int]
@@ -396,60 +514,65 @@ class CoreTable:
         (:mod:`repro.sim.arraycore`) plays back with a cursor instead of
         probing the slice table.
 
-        The flattening is served from cached segment columns: planner
-        tables carry them from materialization (zero-copy), other tables
-        derive them once, and repeat calls with the same handle mapping
-        return the identical array objects.
+        The columns are the table's own segments: only the ids are
+        translated to ``vcpu_id`` handles, and not even that when they
+        already agree.
         """
-        if self._seg_names is None:
-            self._derive_columns()
-        names = self._seg_names
-        assert names is not None  # for mypy; _derive_columns always sets it
-        mapping = tuple(vcpu_id(name) for name in names)
-        memo = self._arrays_memo
-        if memo is not None and memo[0] == mapping:
-            return memo[1]
-        starts = self._seg_starts
-        ends = self._seg_ends
-        local = self._seg_local
-        assert starts is not None and ends is not None and local is not None
+        segments, _names = self._columns()
+        return segments.starts, segments.ends, self._handles(segments.ids, vcpu_id)
+
+    def record_columns(
+        self, vcpu_id: Callable[[str], int]
+    ) -> Tuple[array, array, array]:
+        """The allocations as ``(starts, ends, handles)`` columns: the
+        :meth:`as_arrays` segments without the gaps (an explicit idle
+        record keeps handle ``-1``)."""
+        starts, ends, ids = self._columns()[0].records
+        return starts, ends, self._handles(ids, vcpu_id)
+
+    def _handles(self, ids: array, vcpu_id: Callable[[str], int]) -> array:
+        """This table's segment ``ids`` as ``vcpu_id`` handles (``-1``
+        for idle) — ``ids`` itself when every id already is its handle."""
+        segments, names = self._columns()
+        # handles[i] is id i's handle; the last entry maps id -1.
+        handles = [-1] * (len(names) + 1)
         identity = True
-        for index, handle in enumerate(mapping):
-            if handle != index:
-                identity = False
-                break
-        if identity:
-            handles = local
-        else:
-            handles = array("q", local)
-            for index in range(len(handles)):
-                handle = handles[index]
-                if handle >= 0:
-                    handles[index] = mapping[handle]
-        result = (starts, ends, handles)
-        self._arrays_memo = (mapping, result)
-        return result
+        for i in segments.served:
+            name = names[i]
+            if name is not None:
+                handles[i] = vcpu_id(name)
+            identity = identity and handles[i] == i
+        return ids if identity else array("q", map(handles.__getitem__, ids))
 
 
 class _LazyAllocations:
-    """``CoreTable.allocations`` of a table made by ``from_records``.
+    """``CoreTable.allocations`` of a table made by ``bound`` or
+    ``from_records``.
 
     A non-data descriptor: it is reached only while a table has no
-    ``allocations`` of its own, builds the list from the record columns,
-    and stores it on the table, so every later read is a plain attribute
-    read.  (A ``__getattr__`` hook would do the same, but CPython cannot
-    specialize attribute reads on a class that has one, which slows every
-    ``CoreTable`` attribute read.)
+    ``allocations`` of its own, builds the list from the record or
+    segment columns, and stores it on the table, so every later read is a
+    plain attribute read.  (A ``__getattr__`` hook would do the same, but
+    CPython cannot specialize attribute reads on a class that has one,
+    which slows every ``CoreTable`` attribute read.)
     """
 
     def __get__(self, table: Optional[CoreTable], owner: type) -> Any:
         if table is None:
             return self
         records = table._records
-        if records is None:
+        segments = table._segments
+        names = table._names
+        if records is not None:
+            allocations = list(map(Allocation, *records))
+        elif segments is not None and names is not None:
+            starts, ends, ids = segments.records
+            vcpus = map(names.__getitem__, ids)
+            allocations = list(map(Allocation, starts, ends, vcpus))
+        else:
             raise AttributeError("allocations")
-        allocations = list(map(Allocation, *records))
-        table.allocations = allocations
+        # The columns hold this same schedule.
+        table.allocations = table._source = allocations
         return allocations
 
 
@@ -457,8 +580,12 @@ class _LazyAllocations:
 # become the field's default value.
 setattr(CoreTable, "allocations", _LazyAllocations())
 
-#: What a :class:`CoreTable` pickles: every field but the record columns.
-_PICKLED_FIELDS = tuple(f.name for f in fields(CoreTable) if f.name != "_records")
+#: What a :class:`CoreTable` pickles: every field but the columns.
+_PICKLED_FIELDS = tuple(
+    f.name
+    for f in fields(CoreTable)
+    if f.name not in ("_segments", "_names", "_source", "_records")
+)
 
 
 @dataclass
@@ -501,20 +628,16 @@ class SystemTable:
         names: List[str] = []
         homes: Dict[str, List[Tuple[int, int]]] = {}
         for cpu, table in sorted(self.cores.items()):
-            for alloc in table.allocations:
-                vcpu = alloc.vcpu
-                if vcpu is None:
-                    continue
+            for vcpu, start in table.served():
                 entries = homes.get(vcpu)
                 if entries is None:
                     names.append(vcpu)
-                    homes[vcpu] = [(alloc.start, cpu)]
+                    homes[vcpu] = [(start, cpu)]
                 elif entries[-1][1] != cpu:
                     # Cores are walked in order, so a vCPU already homed
                     # on this core has it as its last entry.
-                    entries.append((alloc.start, cpu))
+                    entries.append((start, cpu))
         self.vcpu_names = names
-        self._vcpu_ids = {name: i for i, name in enumerate(names)}
         self.home_cores = {
             name: [cpu for _, cpu in sorted(entries)]
             for name, entries in homes.items()
@@ -527,8 +650,7 @@ class SystemTable:
     def vcpu_id(self, name: str) -> int:
         ids = self._vcpu_ids
         if len(ids) != len(self.vcpu_names):
-            # vcpu_names was supplied (or replaced) directly, e.g. by the
-            # deserializer; derive the reverse mapping once.
+            # Derived on first use, and again if vcpu_names was replaced.
             ids = {n: i for i, n in enumerate(self.vcpu_names)}
             self._vcpu_ids = ids
         try:

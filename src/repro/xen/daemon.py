@@ -315,9 +315,10 @@ class PlannerDaemon:
 
         Returns ``None`` when no delta base exists or the geometry
         (length, core set) changed — i.e. a delta is inexpressible.
-        Structurally shared cores (delta replans reuse untouched
-        ``CoreTable`` objects) are skipped by identity before falling
-        back to an allocation-by-allocation comparison.
+        A core is unchanged when it is the pushed table's own object (a
+        plan memo hit) or holds the same schedule
+        (:meth:`~repro.core.table.CoreTable.same_schedule`, which only
+        compares the names of cores bound to the same shared segments).
         """
         base = self._last_pushed_table
         if base is None:
@@ -329,11 +330,8 @@ class PlannerDaemon:
         changed: List[int] = []
         for cpu, core in table.cores.items():
             old = base.cores[cpu]
-            if core is old:
-                continue
-            if core.allocations == old.allocations:
-                continue
-            changed.append(cpu)
+            if core is not old and not core.same_schedule(old):
+                changed.append(cpu)
         return changed
 
     def _note_pushed(self, table: SystemTable) -> None:

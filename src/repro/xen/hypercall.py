@@ -29,7 +29,6 @@ from typing import List, Optional, TYPE_CHECKING
 
 from dataclasses import dataclass
 
-from repro.core.edfcore import core_table_from_columns
 from repro.core.serialize import (
     check_parallel_service,
     deserialize,
@@ -37,7 +36,7 @@ from repro.core.serialize import (
     serialize,
     serialize_delta,
 )
-from repro.core.table import SystemTable
+from repro.core.table import CoreTable, Segments, SystemTable
 from repro.errors import TableDeltaMismatchError, TableFormatError, TablePushError
 from repro.faults.plan import SITE_ACTIVATION, SITE_PAYLOAD, SITE_PUSH, corrupt_payload
 from repro.schedulers.tableau import TableauScheduler
@@ -207,8 +206,8 @@ class TableHypercall:
                 raise TableDeltaMismatchError(
                     f"delta for cpu {cpu} absent from the base table"
                 )
-            cores[cpu] = core_table_from_columns(
-                cpu, length_ns, ends, handles, names
+            cores[cpu] = CoreTable.bound(
+                cpu, length_ns, Segments.from_columns(ends, handles), names
             )
         table = SystemTable(length_ns=length_ns, cores=cores)
         check_parallel_service(table)

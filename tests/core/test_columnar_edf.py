@@ -131,7 +131,7 @@ def assert_matches(record, tasks, reference, cpu=0):
             record.last_ends[base],
             record.max_gaps[base],
         )
-        for base in record.order
+        for base in record.segments.served
     ] == aggregates(table)
 
 

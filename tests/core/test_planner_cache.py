@@ -1,15 +1,14 @@
-"""Tests for the planner's incremental core-table memo and parallel path.
+"""Tests for the planner's per-core shape cache and parallel path.
 
-The memo and the process pool are pure wall-clock optimizations: every
+The cache and the process pool are pure wall-clock optimizations: every
 plan they produce must be indistinguishable from a cold, serial plan.
-These tests pin that equivalence down, plus the cache-management
-behavior (hit accounting, LRU bound).
+These tests pin that equivalence down, plus the hit accounting.
 """
 
 import pytest
 
 import repro.core.planner as planner_mod
-from repro.core import MS, Planner, make_vm
+from repro.core import MS, Planner, edfcore, make_vm
 from repro.topology import xeon_16core
 
 
@@ -41,15 +40,27 @@ class TestCoreTableMemo:
         cold = Planner(xeon_16core()).plan(census(41))
         assert table_layout(cached) == table_layout(cold)
 
-    def test_incremental_census_only_resimulates_changed_cores(self):
+    def test_incremental_census_only_resimulates_changed_cores(self, monkeypatch):
+        runs = []
+        run_pipeline = planner_mod.run_pipeline
+
+        def counting(*args, **kwargs):
+            runs.append(args)
+            return run_pipeline(*args, **kwargs)
+
+        monkeypatch.setattr(planner_mod, "run_pipeline", counting)
+        edfcore._SHAPE_CACHE.clear()
         planner = Planner(xeon_16core())
         planner.plan(census(40))
         before = planner.core_cache_misses
-        planner.plan(census(41))
-        new_misses = planner.core_cache_misses - before
-        # Adding one VM at the census tail only changes the cores that
-        # received it; all others must hit.
-        assert 0 < new_misses < before
+        # Cores of one shape share a single pipeline run.
+        assert 0 < len(runs) < before
+        runs.clear()
+        planner.plan(census(40) + [make_vm("new", 0.2, 10 * MS)])
+        # Only the core handed the new VM has a task shape the cache has
+        # not seen; every other core is a hit, however it is named.
+        assert planner.core_cache_misses - before == 1
+        assert len(runs) == 1
 
     def test_cached_tables_pass_guarantee_audit(self):
         planner = Planner(xeon_16core())
@@ -58,13 +69,6 @@ class TestCoreTableMemo:
         for spec in result.vcpus.values():
             assert result.table.max_blackout_ns(spec.name) <= spec.latency_ns
         result.table.validate()
-
-    def test_cache_respects_lru_bound(self, monkeypatch):
-        monkeypatch.setattr(planner_mod, "CORE_CACHE_SIZE", 4)
-        planner = Planner(xeon_16core())
-        for n in (33, 36, 39, 42):
-            planner.plan(census(n))
-        assert len(planner._core_cache) <= 4
 
     def test_distinct_knobs_do_not_share_entries(self):
         # The coalesce threshold participates in the memo key: changing

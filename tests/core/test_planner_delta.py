@@ -115,19 +115,24 @@ class TestDeltaEqualsScratch:
         census = base_census(scheduler, seed)
         live_planner = Planner(topo)
         previous = live_planner.plan(list(census))
+        kept = 0
         for delta, full in mutation_steps(census, scheduler, seed):
             live = live_planner.plan(delta)
             scratch = Planner(topo).plan(list(full))
             assert_plans_equal(live, scratch)
-            # Untouched cores are structurally shared with the previous
-            # plan — the zero-copy contract the daemon's delta push
-            # builds on.
-            changed = set(live.stats.changed_cores or [])
+            # A core handed the same tasks as in the previous plan holds
+            # the same schedule, which the daemon's delta push leaves out.
+            clustered = set(live.stats.cluster_cores) | set(
+                previous.stats.cluster_cores
+            )
             for cpu, core in live.table.cores.items():
-                if cpu in changed or cpu not in previous.table.cores:
+                if cpu in clustered or cpu not in previous.assignment:
                     continue
-                assert core is previous.table.cores[cpu]
+                if live.assignment.get(cpu) == previous.assignment[cpu]:
+                    assert core.same_schedule(previous.table.cores[cpu])
+                    kept += 1
             previous = live
+        assert kept > 0
 
     def test_combined_delta_matches_hand_edit(self):
         topo = uniform(4)

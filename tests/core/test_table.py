@@ -4,7 +4,8 @@ from array import array
 
 import pytest
 
-from repro.core.table import Allocation, CoreTable, SystemTable
+from repro.core.serialize import deserialize, serialize
+from repro.core.table import Allocation, CoreTable, Segments, SystemTable
 from repro.errors import ConfigurationError, PlanningError
 
 
@@ -267,13 +268,35 @@ class TestLookupMemo:
         assert table.next_boundary(12_500) == 13_000  # next cycle
         assert table.next_boundary(3_000) == 10_000  # trailing idle gap
 
-    def test_build_slices_invalidates_memo(self):
+    @pytest.mark.parametrize("made", ["listed", "bound", "decoded"])
+    def test_build_slices_invalidates_memo(self, made):
+        # Replacing the allocations, with the same boundaries and then
+        # with others, leaves no old name or geometry behind, whether the
+        # table derived its columns from a list, was bound to shared ones
+        # or was decoded.
         table = core_table([(0, 1_000, "a")])
+        if made == "bound":
+            segments, names = Segments.from_records(10_000, [(0, 1_000, "a")])
+            table = CoreTable.bound(0, 10_000, segments, names)
+        elif made == "decoded":
+            system = SystemTable(length_ns=10_000, cores={0: table})
+            table = deserialize(serialize(system)).cores[0]
         table.build_slices()
         assert table.lookup(500).vcpu == "a"
         table.allocations = [Allocation(0, 1_000, "z")]
         table.build_slices()
         assert table.lookup(500).vcpu == "z"
+        table.allocations = [Allocation(0, 500, "y")]
+        table.build_slices()
+        assert table.next_boundary(100) == 500
+        assert table.lookup(700) is None
+        assert table.min_allocation_ns() == 500
+        assert table.service_intervals("y") == [(0, 500)]
+        assert table.service_intervals("z") == []
+        system = SystemTable(length_ns=10_000, cores={0: table})
+        assert system.vcpu_names == ["y"]
+        decoded = deserialize(serialize(system))
+        assert decoded.cores[0].allocations == [Allocation(0, 500, "y")]
 
 
 class TestVcpuIdIndex:

@@ -37,6 +37,15 @@ def build_daemon(topo=None):
     return PlannerDaemon(topo, hypercall=hypercall), hypercall, sched
 
 
+def changed_cores(before, after):
+    """Cores whose schedule differs between two plans' tables."""
+    return {
+        cpu
+        for cpu, core in after.table.cores.items()
+        if not core.same_schedule(before.table.cores[cpu])
+    }
+
+
 class TestHypercallDeltaProtocol:
     def test_delta_before_any_push_is_a_mismatch(self):
         _, hypercall, _ = build_daemon()
@@ -85,13 +94,13 @@ class TestHypercallDeltaProtocol:
     def test_successful_delta_shares_unchanged_cores(self):
         daemon, hypercall, sched = build_daemon(xeon_16core())
         vms = census(44)
-        daemon.replan(vms, "boot")
+        boot = daemon.replan(vms, "boot")
         base_staged = hypercall.staged_table
-        daemon.replan(vms + [make_vm("vm44", 0.25, 20 * MS)], "create")
+        grown = daemon.replan(vms + [make_vm("vm44", 0.25, 20 * MS)], "create")
         record = daemon.history[-1].push
         assert record.delta
         staged = hypercall.staged_table
-        changed = set(daemon.current_plan.stats.changed_cores or ())
+        changed = changed_cores(boot, grown)
         assert changed  # the create really did repack something
         for cpu, core in staged.cores.items():
             if cpu not in changed:
@@ -294,13 +303,14 @@ class TestDeltaPlannerIntegration:
         # End-to-end: CensusDelta at the planner, 'TBLD' on the wire.
         daemon, hypercall, _ = build_daemon(xeon_16core())
         vms = census(44)
-        daemon.replan(vms, "boot")
+        boot = daemon.replan(vms, "boot")
         planner = daemon.planner
         delta_result = planner.plan(
             CensusDelta(create=[make_vm("vm44", 0.25, 20 * MS)])
         )
-        changed = delta_result.stats.changed_cores
-        assert changed is not None and len(changed) >= 1
+        # Only the cores whose schedule changed travel.
+        changed = sorted(changed_cores(boot, delta_result))
+        assert 1 <= len(changed) < len(delta_result.table.cores)
         payload = serialize_delta(
             delta_result.table, changed, hypercall.delta_generation
         )

@@ -4,7 +4,8 @@ Counts :meth:`CoreTable.derive_slices` calls per core object (the one
 derivation; ``build_slices`` and the decoder both call it): the decoder
 derives every pushed core's slice table, the dispatcher installs it
 without rebuilding, a delta push rebuilds only the cores it carries, and
-a table-cache rebind reuses the cached geometry.
+on the planner side a slice table is derived once per shared segments —
+cores of one shape and table-cache rebinds install it, deriving nothing.
 """
 
 from collections import Counter
@@ -49,17 +50,32 @@ def hypercall_on_empty_table():
     return TableHypercall(TableauScheduler(SystemTable(length_ns=MS, cores={})))
 
 
+def derivations_per_slice_table(builds, cores):
+    """How many times each distinct slice table of ``cores`` was derived
+    on one of them."""
+    ids = {id(core) for core in cores}
+    return Counter(id(core.slices) for core in builds if id(core) in ids)
+
+
 class TestFullPush:
     def test_one_build_per_received_core_plus_missing_planner_cores(self, builds):
         hypercall = hypercall_on_empty_table()
         # A shape no other test plans, so no earlier push has built
-        # slices on the cores it plans.
+        # slices on the segments it plans.
         plan = Planner(xeon_16core()).plan(census(40, "full", 0.23, 19))
         missing = [core for core in plan.table.cores.values() if not core.slices]
         assert missing  # the planner leaves slice tables to the push
         hypercall.push_system_table(plan.table)
-        assert Counter(map(id, builds)) == once_each(
-            missing + list(hypercall.staged_table.cores.values())
+        received = list(hypercall.staged_table.cores.values())
+        assert Counter(map(id, builds)) - Counter(map(id, missing)) == once_each(
+            received
+        )
+        # Cores of one shape share their segments and so their slice
+        # table: it was derived once, on one of them.
+        shared = {id(core.slices) for core in missing}
+        assert len(shared) < len(missing)
+        assert derivations_per_slice_table(builds, missing) == Counter(
+            dict.fromkeys(shared, 1)
         )
 
     def test_repush_builds_only_on_the_receiver(self, builds):
@@ -78,14 +94,18 @@ class TestDeltaPush:
         hypercall = hypercall_on_empty_table()
         daemon = PlannerDaemon(xeon_16core(), hypercall=hypercall)
         vms = census(44)
-        daemon.replan(vms, "boot")
+        boot = daemon.replan(vms, "boot")
         base = hypercall.staged_table
         base_slices = {cpu: core.slices for cpu, core in base.cores.items()}
         builds.clear()
-        daemon.replan(vms + [make_vm("vm44", 0.25, 20 * MS)], "create")
+        grown = daemon.replan(vms + [make_vm("vm44", 0.25, 20 * MS)], "create")
         assert daemon.history[-1].push.delta
         staged = hypercall.staged_table
-        changed = set(daemon.current_plan.stats.changed_cores or ())
+        changed = {
+            cpu
+            for cpu, core in grown.table.cores.items()
+            if not core.same_schedule(boot.table.cores[cpu])
+        }
         assert changed and changed != set(staged.cores)
         assert Counter(map(id, builds)) == once_each(
             staged.cores[cpu] for cpu in changed
@@ -123,10 +143,19 @@ class TestTableCacheRebind:
         # A shape no other test plans (see the full-push test above).
         cache = TableCache(Planner(uniform(4)))
         cached = cache.plan(vcpus("a", 0.21, 17))
-        missing = [core for core in cached.table.cores.values() if not core.slices]
-        assert missing
-        cache.plan(vcpus("b", 0.21, 17))
-        assert Counter(map(id, builds)) == once_each(missing)
+        assert not any(core.slices for core in cached.table.cores.values())
+        rebound = cache.plan(vcpus("b", 0.21, 17))
+        assert builds == []  # a rebind derives nothing
+        rebound.table.build_slices(only_missing=True)
+        # Two vCPUs of one shape per core: all four cores share one
+        # segments object, so one derivation serves them all.
+        shared = {id(core.slices) for core in rebound.table.cores.values()}
+        assert len(shared) == 1
+        assert len(builds) == 1
         builds.clear()
-        cache.plan(vcpus("c", 0.21, 17))
+        again = cache.plan(vcpus("c", 0.21, 17))
+        for cpu, core in again.table.cores.items():
+            assert core.slices is rebound.table.cores[cpu].slices
+        again.table.build_slices(only_missing=True)
+        cached.table.build_slices(only_missing=True)
         assert builds == []
