@@ -31,6 +31,12 @@ pre-columnar cost) so the planner win that retired the old bar cannot
 silently regress.  Wall ratios are still reported but not gated — at
 ~1.2x they sit inside this container's timing noise.
 
+Once cold planning got cheap, one pair's plan-phase ratio swung from
+1.15x to 2.6x between runs of one tree on a 2-vCPU host, so the cold/
+warm pair runs ``POOLED_PAIRS`` times, each against a fresh store, and
+the 1.3x bar is on the median ratio; the report keeps every ratio and
+the last pair's blocks.
+
 An absolute ceiling that loose let a 4x planner regression through
 (binding a cached core to names rebuilt every allocation), so the
 serial plan phase is also barred relative to the host: divided by the
@@ -81,6 +87,8 @@ LATENCY_MS = 1.0
 #: Bar on the serial plan phase over the calibration kernel's time.
 MAX_PLAN_PHASE_OVER_CALIBRATION = 200.0
 CALIBRATION_RUNS = 21
+#: Cold/warm pooled pairs whose median plan-phase ratio is barred.
+POOLED_PAIRS = 3
 
 
 def calibration_s() -> float:
@@ -153,12 +161,18 @@ def run_all(
     duration_s: float = DURATION_S, seeds: Sequence[int] = SEEDS
 ) -> Dict[str, object]:
     matrix = bench_matrix(duration_s=duration_s, seeds=seeds)
+    phase_speedups = []
     with tempfile.TemporaryDirectory(prefix="bench-campaign-") as td:
-        cache = str(Path(td) / "plan-cache")
-        # Cold first: workers must fork before this process ever plans,
-        # so the on-disk store (not an inherited memo) serves lookups.
-        cold = run_pooled(matrix, cache, str(Path(td) / "cold.jsonl"))
-        warm = run_pooled(matrix, cache, str(Path(td) / "warm.jsonl"))
+        # Pooled pairs first: workers must fork before this process ever
+        # plans, so the on-disk store (not an inherited memo) serves
+        # lookups.
+        for pair in range(POOLED_PAIRS):
+            cache = str(Path(td) / f"plan-cache-{pair}")
+            cold = run_pooled(matrix, cache, str(Path(td) / f"cold-{pair}.jsonl"))
+            warm = run_pooled(matrix, cache, str(Path(td) / f"warm-{pair}.jsonl"))
+            phase_speedups.append(
+                round(float(cold["plan_phase_s"]) / float(warm["plan_phase_s"]), 2)
+            )
         calibration = calibration_s()
         serial = run_seed_path(matrix)
 
@@ -171,7 +185,6 @@ def run_all(
         del block["aggregate_bytes"]
     speedup = float(serial["wall_s"]) / float(warm["wall_s"])
     speedup_vs_cold = float(cold["wall_s"]) / float(warm["wall_s"])
-    phase_speedup = float(cold["plan_phase_s"]) / float(warm["plan_phase_s"])
     warm_cache = warm["plan_cache"]
     assert isinstance(warm_cache, dict)
     return {
@@ -195,7 +208,8 @@ def run_all(
         ),
         "speedup_warm_vs_serial": round(speedup, 2),
         "speedup_warm_vs_cold": round(speedup_vs_cold, 2),
-        "plan_phase_speedup_warm_vs_cold": round(phase_speedup, 2),
+        "plan_phase_speedups_warm_vs_cold": phase_speedups,
+        "plan_phase_speedup_warm_vs_cold": statistics.median(phase_speedups),
         "warm_hit_rate": warm_cache["hit_rate"],
         "aggregates_identical": identical,
     }

@@ -5,7 +5,9 @@ paths every experiment funnels through — the discrete-event dispatch
 loop (``SimEngine`` + ``Machine`` + ``TableauScheduler``) and the
 planner's table-(re)generation pipeline — and reports throughput plus a
 determinism fingerprint, so an optimization can prove both that it is
-faster and that it changed no simulated behavior.
+faster and that it changed no simulated behavior.  It also times the
+push path between them: delta transport, and the full-push decode with
+and without the decoder's cache of accepted core blocks.
 
 Run directly to (re)generate ``BENCH_hotpath.json`` at the repo root::
 
@@ -21,12 +23,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.core import MS, CensusDelta, Planner, make_vm
+from repro.core import MS, CensusDelta, Planner, make_vm, serialize
+from repro.core.serialize import _DECODED, clear_decode_cache, deserialize
 from repro.core.table import SystemTable
 from repro.experiments.scenarios import build_scenario
 from repro.schedulers import TableauScheduler
@@ -403,12 +407,81 @@ def bench_plan_transport(cycles: int = 100) -> Dict[str, object]:
     }
 
 
+#: VM shapes ``(utilization, latency goal in ms)`` of the decode walk.
+DECODE_WALK_SHAPES = ((0.25, 20), (0.2, 10), (0.1, 40), (0.3, 20))
+
+
+def decode_walk_payloads() -> List[bytes]:
+    """Full ('TBLO') payloads of a 120-step census walk (seed 1) on the
+    16-core machine.
+
+    Each step creates a VM of a random shape or destroys a random one,
+    the population wandering between 30 and 40 VMs, and the census is
+    planned from scratch and encoded.  VMs come and go, so vCPU ids shift
+    and every push travels full; schedules recur, as in a live service.
+    """
+    rng = random.Random(1)
+    planner = Planner(xeon_16core())
+    live: Dict[str, tuple] = {}
+    payloads = []
+    for step in range(120):
+        if len(live) < 30 or (len(live) < 40 and rng.random() < 0.5):
+            live[f"vm{step:03d}"] = rng.choice(DECODE_WALK_SHAPES)
+        else:
+            del live[rng.choice(sorted(live))]
+        census = [make_vm(name, u, ms * MS) for name, (u, ms) in live.items()]
+        payloads.append(serialize(planner.plan(census).table))
+    return payloads
+
+
+def bench_full_push_decode() -> Dict[str, object]:
+    """Full-push decode: the decoder's block cache warm against cold.
+
+    Decodes the :func:`decode_walk_payloads` stream five times each way,
+    interleaved: *cold* clears the cache before every push (each core is
+    parsed and its schedule's slice table derived), *warm* clears it once
+    and decodes the stream in order, so a core block the walk sent before
+    is bound without a second check.  Walls are best of five; the share
+    of received cores that hit the cache is exact.
+    """
+    payloads = decode_walk_payloads()
+    cold_walls: List[float] = []
+    warm_walls: List[float] = []
+    for _ in range(5):
+        start = time.perf_counter()
+        for payload in payloads:
+            clear_decode_cache()
+            deserialize(payload)
+        cold_walls.append(time.perf_counter() - start)
+        clear_decode_cache()
+        start = time.perf_counter()
+        cores = sum(len(deserialize(payload).cores) for payload in payloads)
+        warm_walls.append(time.perf_counter() - start)
+    # Each distinct block misses once, a repeat in the same push included
+    # (the walk stays under the cache's byte budget), so the blocks held
+    # after a warm pass are its misses.
+    misses = len(_DECODED)
+    cold = min(cold_walls) / len(payloads)
+    warm = min(warm_walls) / len(payloads)
+    return {
+        "pushes": len(payloads),
+        "cores": cores,
+        "hit_share": round(1 - misses / cores, 4),
+        "cold_us_per_push": round(cold * 1e6, 1),
+        "warm_us_per_push": round(warm * 1e6, 1),
+        "warm_over_cold": round(warm / cold, 3),
+    }
+
+
 # ----------------------------------------------------------------------
 # Runner
 # ----------------------------------------------------------------------
 
 
 def run_all(sim_seconds: float = 0.5, planner_repeats: int = 3) -> Dict[str, object]:
+    # benchmarks/ is on the path of a script run.
+    from campaign import calibration_s
+
     backends = bench_dispatch_backends(sim_seconds=sim_seconds)
     dispatch = backends["object"]
     array = backends["array"]
@@ -416,12 +489,20 @@ def run_all(sim_seconds: float = 0.5, planner_repeats: int = 3) -> Dict[str, obj
     regeneration = bench_daemon_regeneration()
     planner_delta = bench_planner_delta()
     transport = bench_plan_transport()
+    decode = bench_full_push_decode()
+    calibration = calibration_s()
     planner_norm = {
         **planner,
         "plans_per_sec": round(planner["plans"] / planner["wall_s"], 1),
     }
     return {
         "generated_by": "benchmarks/hotpath.py",
+        # Median time of perfbench's calibration kernel on the host that
+        # measured the walls below, except those listed next: they are the
+        # frozen reference that test_perf_hotpath's load-normalized gate
+        # divides by, measured on an earlier host.
+        "calibration_s": round(calibration, 6),
+        "calibration_excludes": ["after.dispatch", "after.dispatch_array"],
         "before": SEED_BASELINE,
         "after": {
             "dispatch": {
@@ -450,6 +531,7 @@ def run_all(sim_seconds: float = 0.5, planner_repeats: int = 3) -> Dict[str, obj
                     "bytes_ratio",
                 )
             },
+            "full_push_decode": decode,
         },
         "speedup": {
             "dispatch": round(
@@ -482,6 +564,7 @@ def run_all(sim_seconds: float = 0.5, planner_repeats: int = 3) -> Dict[str, obj
                 planner_delta["plans_per_sec"] / planner_norm["plans_per_sec"], 2
             ),
             "plan_transport_bytes": transport["bytes_ratio"],
+            "full_push_decode_warm_vs_cold": round(1 / decode["warm_over_cold"], 2),
         },
         "fingerprints": {
             "dispatch_trace": dispatch["fingerprint"],

@@ -23,14 +23,25 @@ cache lines, matching the paper's O(1)-dispatch design.
 The slice records are the dispatcher's slice table as stored:
 :attr:`~repro.core.table.CoreTable.slices` is this ``array('i')``
 column, so the encoder writes it with ``tobytes()`` and the decoder
-compares the wire copy with its own derivation in one array comparison.
+compares the wire copy with its own derivation in one comparison.
 
 :func:`deserialize` is the validation boundary for a full push.  It
-reads each core's records as integer columns, checks them there (order,
-bounds, vCPU ids, slice table, no parallel service), raises
-:class:`TableFormatError` for every rejection, and returns tables that
-build their :class:`~repro.core.table.Allocation` lists only when first
-read; the hypercall stages that table without validating it again.
+checks each core's record block (order, bounds, vCPU ids, slice table)
+and the whole table (no parallel service), raises
+:class:`TableFormatError` for every rejection, and returns tables bound
+to shared, name-free :class:`~repro.core.table.Segments` that build
+their :class:`~repro.core.table.Allocation` lists only when first read;
+the hypercall stages that table without validating it again.
+
+Received cores recur, so the decoder keeps the core blocks it accepted
+(a content-addressed cache within a byte budget).  The cache rule: the
+key holds all that the block's own checks read (table length, slice
+length, record block), so a hit is an exact match of a block that passed
+every check; what varies from push to push (the string table the
+block's ids index, the slice count, the slice records) is checked on
+every push.  A push's new blocks are remembered only once the whole push
+passed.  Blocks that differ only in vCPU numbering share one
+:class:`~repro.core.table.Segments` and its slice table.
 """
 
 from __future__ import annotations
@@ -39,9 +50,9 @@ import struct
 import sys
 from array import array
 from operator import le, lt, sub
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from repro.core.table import CoreTable, SystemTable
+from repro.core.table import CoreTable, Geometry, Segments, SystemTable
 from repro.errors import TableFormatError
 
 MAGIC = b"TBLO"
@@ -68,6 +79,45 @@ FLAG_IDLE = 0x1
 #: An explicit idle record's vCPU id and flags words (-1, FLAG_IDLE) read
 #: as one little-endian 64-bit value.
 _IDLE_WORD = FLAG_IDLE << 32 | 0xFFFFFFFF
+
+
+class _Accepted(NamedTuple):
+    """A core record block that passed every check of :func:`deserialize`."""
+
+    segments: Segments
+    #: The slice table for the block's slice length (the segments' own
+    #: unless the sender floored it).
+    geometry: Geometry
+    #: Segment id ``i`` is vCPU id ``order[i]`` (``-1``: explicit idle).
+    order: List[int]
+    #: The largest vCPU id in the block, ``-1`` when it has none.
+    top: int
+    #: The slice records, as they travel.
+    slices: bytes
+
+
+#: Accepted blocks by ``(length_ns, slice_len, record block)``: all that
+#: the layout check, id normalization and slice derivation read.
+_DECODED: Dict[Tuple[int, int, bytes], _Accepted] = {}
+#: The first accepted block of each name-free schedule (table length,
+#: record times, vCPU ids numbered by first record), whose segments
+#: later blocks of the schedule share; read on a miss only.
+_SCHEDULES: Dict[Tuple[int, bytes, bytes, bytes], _Accepted] = {}
+#: The record-block, slice-record and schedule-key bytes both maps may
+#: hold (the segments and slice tables derived from them grow in
+#: proportion): a push whose new blocks would pass it clears both maps
+#: first, and a push whose new blocks alone pass it is not remembered.
+_DECODED_BYTES = 2 << 20
+#: The bytes both maps hold, counted as for ``_DECODED_BYTES``.
+_decoded_bytes = 0
+
+
+def clear_decode_cache() -> None:
+    """Forget every accepted core block (the next decode runs cold)."""
+    global _decoded_bytes
+    _DECODED.clear()
+    _SCHEDULES.clear()
+    _decoded_bytes = 0
 
 
 def serialize(table: SystemTable) -> bytes:
@@ -129,33 +179,39 @@ def deserialize(payload: bytes) -> SystemTable:
     table length, a truncated payload or bytes after the last record, a
     cpu listed twice, a record that is empty, overlaps its predecessor
     or ends past the table, a vCPU id out of range, slice records that
-    disagree with the records, and a vCPU served on two cores at once.
+    disagree with the records, a table length that segment columns
+    cannot hold (2**63 ns or more), and a vCPU served on two cores at
+    once.
 
     The slice records are not trusted: each core's slice table is
-    derived once from its validated records (with the wire slice length
-    as the floor, so a floored table round-trips) and the wire copy must
+    derived from its validated records (with the wire slice length as
+    the floor, so a floored table round-trips) and the wire copy must
     match it exactly.  The wire geometry is checked against the records
     *before* the derivation, so the derivation is never larger than the
-    payload that carried it.  :class:`SystemTable` derives the vCPU
-    index from the same columns.
+    payload that carried it.
+
+    A core block accepted before is bound without being parsed again:
+    a hit is an exact match of a block that passed every check, and
+    what varies from push to push (its largest vCPU id against this
+    string table, truncation, the slice count, the slice records byte
+    for byte) is checked on every push, in the order above.  A push's new
+    blocks are remembered only once the whole table passed, so a rejected
+    push leaves the cache as it was.  Every core is a
+    :meth:`CoreTable.bound` table over shared segments.
     """
-    view = memoryview(payload)
+    data = bytes(payload)
     offset = 0
 
-    def take_block(size: int) -> memoryview:
+    def take(size: int) -> bytes:
         nonlocal offset
-        if offset + size > len(view):
+        if offset + size > len(data):
             raise TableFormatError(
                 f"truncated table: need {size} bytes at offset {offset}"
             )
-        block = view[offset : offset + size]
         offset += size
-        return block
+        return data[offset - size : offset]
 
-    def take(fmt: struct.Struct) -> Tuple:
-        return fmt.unpack(take_block(fmt.size))
-
-    magic, version, ncpus, length_ns, nvcpus, _ = take(_HEADER)
+    magic, version, ncpus, length_ns, nvcpus, _ = _HEADER.unpack(take(_HEADER.size))
     if magic != MAGIC:
         raise TableFormatError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -163,94 +219,67 @@ def deserialize(payload: bytes) -> SystemTable:
     if length_ns == 0:
         # Dispatch reduces time modulo the table length.
         raise TableFormatError("zero table length")
-    names, offset = _read_names(view, offset, nvcpus)
-    # Normalized vCPU id -> name; id -1 (idle) takes the trailing None.
+    names, offset = _read_names(data, offset, nvcpus)
+    # vCPU id -> name; id -1 (idle) takes the trailing None.
     by_id: List[Optional[str]] = [*names, None]
 
     cores: Dict[int, CoreTable] = {}
+    # This push's new blocks (idle cores repeat one) and schedules,
+    # remembered once it passed.
+    fresh: Dict[Tuple[int, int, bytes], _Accepted] = {}
+    schedules: Dict[Tuple[int, bytes, bytes, bytes], _Accepted] = {}
     for _ in range(ncpus):
-        cpu, nallocs, slice_len, nslices, _ = take(_CPU_HEADER)
+        cpu, nallocs, slice_len, nslices, _ = _CPU_HEADER.unpack(
+            take(_CPU_HEADER.size)
+        )
         if cpu in cores:
             raise TableFormatError(f"cpu {cpu} listed twice")
-        starts, ends, vcpus = _read_records(
-            take_block(nallocs * _ALLOC.size), cpu, length_ns, by_id
-        )
-        wire = array("i")
-        wire.frombytes(take_block(nslices * _SLICE.size))
-        if sys.byteorder != "little":  # pragma: no cover - BE hosts only
-            wire.byteswap()
-        if nallocs:
-            fits = slice_len >= min(map(sub, ends, starts))
-            fits = fits and nslices == -(-length_ns // slice_len)
+        key = (length_ns, slice_len, take(nallocs * _ALLOC.size))
+        known = _DECODED.get(key) or fresh.get(key)
+        if known is None:
+            starts, ends, ids = _read_block(key[2], cpu, length_ns)
+            top = max(ids, default=-1)
+            if starts:
+                fits = slice_len >= min(map(sub, ends, starts))
+            else:
+                fits = slice_len == length_ns
         else:
-            fits = slice_len == length_ns and nslices == 1
-        if not fits:
+            top, fits = known.top, True
+        if top >= nvcpus:
+            raise TableFormatError(f"vCPU id {top} out of range")
+        wire = take(nslices * _SLICE.size)
+        if not (fits and nslices == -(-length_ns // slice_len)):
             raise TableFormatError(
                 f"cpu{cpu}: {nslices} slices of {slice_len} ns do not fit "
                 f"its allocations"
             )
-        core = CoreTable.from_records(cpu, length_ns, starts, ends, vcpus)
-        core.derive_slices(starts.tolist(), ends, slice_len)
-        if core.slices != wire:
-            raise TableFormatError(
-                f"cpu{cpu}: slice records disagree with its allocations"
+        if known is None:
+            core, fresh[key] = _accept(
+                key, cpu, starts, ends, ids, wire, by_id, schedules
             )
+        elif wire != known.slices:
+            raise _disagree(cpu)
+        else:
+            core = CoreTable.bound(
+                cpu, length_ns, known.segments, [by_id[i] for i in known.order]
+            )
+            core.install_slices(known.geometry)
         cores[cpu] = core
-    _check_consumed(view, offset)
+    _check_consumed(data, offset)
 
     table = SystemTable(length_ns=length_ns, cores=cores)
     check_parallel_service(table)
+    if fresh:
+        _remember(fresh, schedules)
     return table
 
 
-def check_parallel_service(table: SystemTable) -> None:
-    """Reject a pushed table that serves a vCPU on two cores at once.
-
-    The last structural check of a full or delta push, after the
-    decoder has checked each core; raises :class:`TableFormatError`.
-    """
-    overlap = table.parallel_service()
-    if overlap is not None:
-        vcpu, start, end = overlap
-        raise TableFormatError(
-            f"vCPU {vcpu} scheduled on two cores during [{start}, {end})"
-        )
-
-
-def _read_names(view: memoryview, offset: int, count: int) -> Tuple[List[str], int]:
-    """The vCPU string table at ``offset``, and the offset after it."""
-    names: List[str] = []
-    for _ in range(count):
-        if offset + 2 > len(view):
-            raise TableFormatError("truncated vCPU string table header")
-        (name_len,) = struct.unpack_from("<H", view, offset)
-        offset += 2
-        if offset + name_len > len(view):
-            raise TableFormatError("truncated vCPU string table")
-        try:
-            names.append(bytes(view[offset : offset + name_len]).decode("utf-8"))
-        except UnicodeDecodeError as error:
-            raise TableFormatError(f"corrupt vCPU name: {error}") from None
-        offset += name_len
-    return names, offset
-
-
-def _check_consumed(view: memoryview, offset: int) -> None:
-    if offset != len(view):
-        raise TableFormatError(
-            f"{len(view) - offset} trailing bytes after the last record"
-        )
-
-
-def _read_records(
-    block: memoryview, cpu: int, length_ns: int, by_id: List[Optional[str]]
-) -> Tuple[array, array, List[Optional[str]]]:
-    """One core's allocation records as validated ``(starts, ends, vcpus)``.
-
-    The 32-byte records are read as whole-block integer arrays and split
-    into columns by stride; ``vcpus`` holds each record's vCPU name, or
-    ``None`` for an idle record (idle flag or negative id).
-    """
+def _read_block(
+    block: bytes, cpu: int, length_ns: int
+) -> Tuple[array, array, array]:
+    """One core's allocation records as layout-checked ``(starts, ends,
+    ids)`` columns, read as whole-block integer arrays split by stride;
+    an idle record (idle flag or negative id) has id ``-1``."""
     quads = array("Q")
     quads.frombytes(block)
     words = array("i")
@@ -267,9 +296,121 @@ def _read_records(
         ids = array(
             "i", [-1 if f & FLAG_IDLE or i < 0 else i for i, f in zip(ids, flags)]
         )
-    if ids and max(ids) >= len(by_id) - 1:
-        raise TableFormatError(f"vCPU id {max(ids)} out of range")
-    return starts, ends, list(map(by_id.__getitem__, ids))
+    return starts, ends, ids
+
+
+def _accept(
+    key: Tuple[int, int, bytes],
+    cpu: int,
+    starts: array,
+    ends: array,
+    ids: array,
+    wire: bytes,
+    by_id: List[Optional[str]],
+    schedules: Dict[Tuple[int, bytes, bytes, bytes], _Accepted],
+) -> Tuple[CoreTable, _Accepted]:
+    """The table of a block not seen before, and its cache entry, once
+    its slice records match its validated records.  Blocks of one
+    name-free schedule share its segments, and so its unfloored slice
+    table, derived once; ``schedules`` takes the push's new ones."""
+    length_ns, slice_len, _block = key
+    if length_ns >= 1 << 63:
+        # Segment columns hold signed 64-bit times.
+        raise TableFormatError(f"table length {length_ns} out of range")
+    order = list(dict.fromkeys(ids))
+    number = {vcpu: i for i, vcpu in enumerate(order)}
+    schedule = (
+        length_ns,
+        starts.tobytes(),
+        ends.tobytes(),
+        array("i", map(number.__getitem__, ids)).tobytes(),
+    )
+    shared = _SCHEDULES.get(schedule) or schedules.get(schedule)
+    if shared is None:
+        # Numbers each vCPU id by its place in ``order``.
+        segments = Segments.from_records(length_ns, zip(starts, ends, ids))[0]
+    else:
+        segments = shared.segments
+    core = CoreTable.bound(cpu, length_ns, segments, [by_id[i] for i in order])
+    # The wire slice length is at least the shortest record, so as the
+    # floor it is the slice length itself.
+    geometry = core.build_slices(slice_len)
+    derived = geometry[1]
+    if sys.byteorder != "little":  # pragma: no cover - BE hosts only
+        derived = derived[:]
+        derived.byteswap()
+    slices = derived.tobytes()
+    if slices != wire:
+        raise _disagree(cpu)
+    accepted = _Accepted(segments, geometry, order, max(order, default=-1), slices)
+    if shared is None:
+        schedules[schedule] = accepted
+    return core, accepted
+
+
+def _remember(
+    fresh: Dict[Tuple[int, int, bytes], _Accepted],
+    schedules: Dict[Tuple[int, bytes, bytes, bytes], _Accepted],
+) -> None:
+    """Keep a passed push's new blocks and schedules, within
+    ``_DECODED_BYTES``."""
+    global _decoded_bytes
+    size = sum(len(key[2]) + len(entry.slices) for key, entry in fresh.items())
+    size += sum(len(key[1]) + len(key[2]) + len(key[3]) for key in schedules)
+    if size > _DECODED_BYTES:
+        return
+    if _decoded_bytes + size > _DECODED_BYTES:
+        clear_decode_cache()
+    _DECODED.update(fresh)
+    _SCHEDULES.update(schedules)
+    _decoded_bytes += size
+
+
+def _disagree(cpu: int) -> TableFormatError:
+    return TableFormatError(f"cpu{cpu}: slice records disagree with its allocations")
+
+
+def check_parallel_service(table: SystemTable) -> None:
+    """Reject a pushed table that serves a vCPU on two cores at once.
+
+    The last structural check of a full or delta push, after the
+    decoder has checked each core; raises :class:`TableFormatError`.
+    """
+    overlap = table.parallel_service()
+    if overlap is not None:
+        vcpu, start, end = overlap
+        raise TableFormatError(
+            f"vCPU {vcpu} scheduled on two cores during [{start}, {end})"
+        )
+
+
+def _read_names(payload: bytes, offset: int, count: int) -> Tuple[List[str], int]:
+    """The vCPU string table at ``offset``, and the offset after it.
+
+    Each name's length is read from its two bytes, and the name decoded
+    from one slice of ``payload``.
+    """
+    size = len(payload)
+    names: List[str] = []
+    for _ in range(count):
+        if offset + 2 > size:
+            raise TableFormatError("truncated vCPU string table header")
+        start = offset + 2
+        offset = start + (payload[offset] | payload[offset + 1] << 8)
+        if offset > size:
+            raise TableFormatError("truncated vCPU string table")
+        try:
+            names.append(payload[start:offset].decode("utf-8"))
+        except UnicodeDecodeError as error:
+            raise TableFormatError(f"corrupt vCPU name: {error}") from None
+    return names, offset
+
+
+def _check_consumed(payload: Union[bytes, memoryview], offset: int) -> None:
+    if offset != len(payload):
+        raise TableFormatError(
+            f"{len(payload) - offset} trailing bytes after the last record"
+        )
 
 
 def _check_layout(cpu: int, starts: array, ends: array, length_ns: int) -> None:
@@ -361,7 +502,7 @@ def deserialize_arrays(
         raise TableFormatError(f"bad array-table magic {magic!r}")
     if version != ARRAY_VERSION:
         raise TableFormatError(f"unsupported array-table version {version}")
-    names, offset = _read_names(view, _HEADER.size, nvcpus)
+    names, offset = _read_names(bytes(payload), _HEADER.size, nvcpus)
     columns = _read_columns(view, offset, ncpus, length_ns, len(names))
     return length_ns, names, columns
 
@@ -480,7 +621,7 @@ def deserialize_delta(
         raise TableFormatError(f"bad delta-table magic {magic!r}")
     if version != DELTA_VERSION:
         raise TableFormatError(f"unsupported delta-table version {version}")
-    names, offset = _read_names(view, _HEADER.size, nvcpus)
+    names, offset = _read_names(bytes(payload), _HEADER.size, nvcpus)
     columns = _read_columns(view, offset, ncpus, length_ns, len(names))
     return length_ns, names, base_token, columns
 

@@ -10,12 +10,18 @@ touches at most two records.
 
 Each core's schedule is one name-free :class:`Segments` object plus a
 list of vCPU names.  The segments are shared: every table bound to the
-same segments (same-shape cores, rebinds under other names) reads the
-same columns and the same slice table.  A table built from columns
-(:meth:`CoreTable.bound`) or decoded from the binary push format
-(:meth:`CoreTable.from_records`) builds its :class:`Allocation` list only
+same segments (same-shape cores, rebinds under other names, received
+cores of one schedule) reads the same columns and the same slice table.
+A table built from columns (:meth:`CoreTable.bound`: the planner, its
+caches and both push decoders) builds its :class:`Allocation` list only
 when first read; a table built from an allocation list derives its
 segments on first need, and again if the list is replaced.
+
+The ``'TBLO'`` decoder (:mod:`repro.core.serialize`) keeps the segments
+of the core blocks it accepted and binds them again, unchecked, to a
+block seen before: its cache key is all that the block's own checks
+read, so a hit is an exact match of a block that passed them, and what
+varies from push to push is checked on every push.
 """
 
 from __future__ import annotations
@@ -25,7 +31,18 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from itertools import compress
 from operator import sub
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.core.tasks import PeriodicTask
 from repro.errors import ConfigurationError, PlanningError
@@ -42,9 +59,8 @@ _CROWDED = -2
 #: :meth:`CoreTable.derive_slices`).
 Geometry = Tuple[int, array, List[int], List[int]]
 
-#: A decoded table's record columns: starts, ends, and each record's vCPU
-#: name (``None`` for an idle record).
-Records = Tuple[array, array, List[Optional[str]]]
+#: What tells one record's vCPU from another in :meth:`Segments.from_records`.
+Key = TypeVar("Key", bound=Hashable)
 
 
 def _no_slices() -> array:
@@ -96,8 +112,9 @@ class Segments:
     records: Tuple[array, array, array]
     #: Shortest allocation, ``None`` on an idle core.
     min_alloc_ns: Optional[int]
-    #: The ids in use, in the order of their first segment.
-    served: List[int]
+    #: Each id in use and the start of its first segment, in the order
+    #: of those starts.
+    served: Dict[int, int]
     geometry: Optional[Geometry] = None
 
     @classmethod
@@ -108,29 +125,34 @@ class Segments:
         starts_r, ends_r, ids_r = (
             array("q", compress(column, kept)) for column in (starts, ends, ids)
         )
+        served: Dict[int, int] = {}
+        for start, i in zip(starts_r, ids_r):
+            if i not in served:
+                served[i] = start
         return cls(
             starts,
             ends,
             ids,
             (starts_r, ends_r, ids_r),
             min(map(sub, ends_r, starts_r), default=None),
-            [i for i in dict.fromkeys(ids) if i >= 0],
+            served,
         )
 
     @classmethod
     def from_records(
-        cls, length_ns: int, records: Iterable[Tuple[int, int, Optional[str]]]
-    ) -> Tuple["Segments", List[Optional[str]]]:
-        """Segments and names of time-ordered ``(start, end, vcpu)``
-        allocation records.
+        cls, length_ns: int, records: Iterable[Tuple[int, int, Key]]
+    ) -> Tuple["Segments", List[Key]]:
+        """Segments of time-ordered ``(start, end, vcpu)`` allocation
+        records, and the ``vcpu`` of each id.
 
-        Gaps become idle segments; each distinct record name (``None``
-        for an explicit idle record) gets the next id.
+        Gaps become idle segments; each distinct ``vcpu`` (a name, or
+        ``None`` for an explicit idle record; the decoder passes vCPU
+        ids) gets the next id.
         """
         seg_ends = array("q")
         ids = array("q")
-        names: List[Optional[str]] = []
-        id_of: Dict[Optional[str], int] = {}
+        names: List[Key] = []
+        id_of: Dict[Key, int] = {}
         cursor = 0
         for start, end, vcpu in records:
             if start > cursor:
@@ -194,9 +216,6 @@ class CoreTable:
     _source: Optional[List[Allocation]] = field(
         default=None, repr=False, compare=False
     )
-    #: Record columns of a decoded table (:meth:`from_records`); its
-    #: ``allocations`` list is built from them on first read.
-    _records: Optional[Records] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def bound(
@@ -212,29 +231,7 @@ class CoreTable:
         table = cls(cpu=cpu, length_ns=length_ns, _segments=segments, _names=names)
         del table.allocations  # read through _LazyAllocations from now on
         if segments.geometry is not None:
-            table._install(segments.geometry)
-        return table
-
-    @classmethod
-    def from_records(
-        cls,
-        cpu: int,
-        length_ns: int,
-        starts: array,
-        ends: array,
-        vcpus: List[Optional[str]],
-    ) -> "CoreTable":
-        """A table over validated record columns, allocations built lazily.
-
-        ``starts``/``ends``/``vcpus`` are the time-ordered, non-overlapping
-        records of a decoded push.  The :class:`Allocation` list is built
-        from them on the first read of :attr:`allocations` and cached, so
-        a staged table that is never dispatched never builds one.  Its
-        segments too are derived on first need, not at decode time, which
-        would add a pass over every record to every push.
-        """
-        table = cls(cpu=cpu, length_ns=length_ns, _records=(starts, ends, vcpus))
-        del table.allocations  # read through _LazyAllocations from now on
+            table.install_slices(segments.geometry)
         return table
 
     def __getstate__(self) -> Dict[str, object]:
@@ -248,18 +245,14 @@ class CoreTable:
 
     def _columns(self) -> Tuple[Segments, Sequence[Optional[str]]]:
         """The table's segments and names: derived once from its
-        allocations (or a decoded table's records), and again if
-        ``allocations`` is replaced."""
+        allocations, and again if ``allocations`` is replaced."""
         segments = self._segments
         allocations = self.__dict__.get("allocations")
         if segments is None or allocations is not self._source:
-            rows: Iterable[Tuple[int, int, Optional[str]]]
-            if allocations is not None:
-                rows = ((a.start, a.end, a.vcpu) for a in allocations)
-            else:
-                assert self._records is not None  # else bound to segments
-                rows = zip(*self._records)
-            segments, self._names = Segments.from_records(self.length_ns, rows)
+            assert allocations is not None  # else bound to segments
+            segments, self._names = Segments.from_records(
+                self.length_ns, ((a.start, a.end, a.vcpu) for a in allocations)
+            )
             self._segments = segments
             self._source = allocations
         names = self._names
@@ -297,8 +290,8 @@ class CoreTable:
     def min_allocation_ns(self) -> Optional[int]:
         return self._columns()[0].min_alloc_ns
 
-    def build_slices(self, min_slice_len_ns: int = 1) -> None:
-        """Construct the O(1) slice table.
+    def build_slices(self, min_slice_len_ns: int = 1) -> Geometry:
+        """Construct the O(1) slice table, and return it.
 
         The slice length is the shortest allocation on this core (the
         paper's rule), floored at ``min_slice_len_ns`` as a memory
@@ -319,14 +312,17 @@ class CoreTable:
             slice_len = max(shortest, min_slice_len_ns)
         geometry = segments.geometry
         if geometry is not None and geometry[0] == slice_len:
-            self._install(geometry)
-            return
+            self.install_slices(geometry)
+            return geometry
         starts, ends, _ids = segments.records
         self.derive_slices(starts.tolist(), ends, slice_len)
+        geometry = (slice_len, self.slices, self._starts, self._bounds)
         if shortest is None or slice_len == shortest:
-            segments.geometry = (slice_len, self.slices, self._starts, self._bounds)
+            segments.geometry = geometry
+        return geometry
 
-    def _install(self, geometry: Geometry) -> None:
+    def install_slices(self, geometry: Geometry) -> None:
+        """Install a slice table derived before (see :meth:`build_slices`)."""
         self._memo = None
         self.slice_len_ns, self.slices, self._starts, self._bounds = geometry
 
@@ -335,9 +331,8 @@ class CoreTable:
     ) -> None:
         """Install the slice table of ``slice_len``-ns slices over records.
 
-        The one slice-table derivation: :meth:`build_slices` feeds it a
-        table's segment columns, the ``'TBLO'`` decoder a push's
-        validated record columns.  ``starts``/``ends`` must be
+        The one slice-table derivation, fed by :meth:`build_slices` with
+        a table's record columns.  ``starts``/``ends`` must be
         time-ordered and non-overlapping, and ``slice_len`` at least the
         shortest record.
 
@@ -454,21 +449,12 @@ class CoreTable:
     def served(self) -> List[Tuple[str, int]]:
         """Each vCPU this core serves, with the start of its first
         allocation here, in the order of those starts."""
-        records = self._records
-        if records is not None and "allocations" not in self.__dict__:
-            # A decoded table read from its records, deriving nothing.
-            starts, _ends, vcpus = records
-            return [
-                (vcpu, starts[vcpus.index(vcpu)])
-                for vcpu in dict.fromkeys(vcpus)
-                if vcpu is not None
-            ]
         segments, names = self._columns()
         served: List[Tuple[str, int]] = []
-        for i in segments.served:
+        for i, start in segments.served.items():
             name = names[i]
             if name is not None:
-                served.append((name, segments.starts[segments.ids.index(i)]))
+                served.append((name, start))
         return served
 
     def same_schedule(self, other: "CoreTable") -> bool:
@@ -546,31 +532,26 @@ class CoreTable:
 
 
 class _LazyAllocations:
-    """``CoreTable.allocations`` of a table made by ``bound`` or
-    ``from_records``.
+    """``CoreTable.allocations`` of a table made by ``bound``.
 
     A non-data descriptor: it is reached only while a table has no
-    ``allocations`` of its own, builds the list from the record or
-    segment columns, and stores it on the table, so every later read is a
-    plain attribute read.  (A ``__getattr__`` hook would do the same, but
-    CPython cannot specialize attribute reads on a class that has one,
-    which slows every ``CoreTable`` attribute read.)
+    ``allocations`` of its own, builds the list from the segment columns,
+    and stores it on the table, so every later read is a plain attribute
+    read.  (A ``__getattr__`` hook would do the same, but CPython cannot
+    specialize attribute reads on a class that has one, which slows every
+    ``CoreTable`` attribute read.)
     """
 
     def __get__(self, table: Optional[CoreTable], owner: type) -> Any:
         if table is None:
             return self
-        records = table._records
         segments = table._segments
         names = table._names
-        if records is not None:
-            allocations = list(map(Allocation, *records))
-        elif segments is not None and names is not None:
-            starts, ends, ids = segments.records
-            vcpus = map(names.__getitem__, ids)
-            allocations = list(map(Allocation, starts, ends, vcpus))
-        else:
+        if segments is None or names is None:
             raise AttributeError("allocations")
+        starts, ends, ids = segments.records
+        vcpus = map(names.__getitem__, ids)
+        allocations = list(map(Allocation, starts, ends, vcpus))
         # The columns hold this same schedule.
         table.allocations = table._source = allocations
         return allocations
@@ -584,7 +565,7 @@ setattr(CoreTable, "allocations", _LazyAllocations())
 _PICKLED_FIELDS = tuple(
     f.name
     for f in fields(CoreTable)
-    if f.name not in ("_segments", "_names", "_source", "_records")
+    if f.name not in ("_segments", "_names", "_source")
 )
 
 

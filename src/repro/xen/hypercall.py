@@ -156,10 +156,13 @@ class TableHypercall:
 
         :func:`~repro.core.serialize.deserialize` is the whole structural
         check: every malformed payload raises :class:`TableFormatError`
-        there, and the table it returns is staged as is.  All failure
+        there, and the table it returns is staged as is.  A core block
+        an earlier push carried is not checked again (a cache hit is an
+        exact match of a block that passed every check), while what
+        varies from push to push is checked on every push.  All failure
         exits happen before :meth:`TableauScheduler.install_table`: a
-        rejected push leaves the serving table, the staged table, and all
-        accounting untouched.
+        rejected push leaves the serving table, the staged table, and
+        all accounting untouched.
         """
         payload = self._consult_push_faults(payload)
         table = deserialize(payload)

@@ -1,13 +1,17 @@
 """Tests for the binary scheduling-table format."""
 
+import importlib
 import struct
 from array import array
 
 import pytest
 
 from repro.core.serialize import (
+    _DECODED,
+    _SCHEDULES,
     ARRAY_MAGIC,
     MAGIC,
+    clear_decode_cache,
     deserialize,
     deserialize_arrays,
     deserialize_delta,
@@ -18,6 +22,10 @@ from repro.core.serialize import (
 )
 from repro.core.table import Allocation, CoreTable, SystemTable
 from repro.errors import TableFormatError
+
+# The module itself (``repro.core`` re-exports the function of its name),
+# for the decode cache's byte count and budget.
+codec = importlib.import_module("repro.core.serialize")
 
 
 def sample_system():
@@ -153,6 +161,15 @@ class TestFormatErrors:
         with pytest.raises(TableFormatError):
             deserialize(b"")
 
+    def test_table_length_past_signed_64_bits_rejected(self):
+        # An idle core fits any table length; segment columns do not.
+        system = SystemTable(length_ns=5_000, cores={0: CoreTable(cpu=0, length_ns=5_000)})
+        payload = bytearray(serialize(system))
+        struct.pack_into("<Q", payload, 8, 1 << 63)
+        struct.pack_into("<Q", payload, 24 + 8, 1 << 63)  # cpu0's slice length
+        with pytest.raises(TableFormatError, match="table length .* out of range"):
+            deserialize(bytes(payload))
+
 
 def names_end(system):
     """Offset of the first per-cpu header (after header and string table)."""
@@ -204,6 +221,145 @@ class TestStructuralRejections:
         encode, decode = ENCODERS[kind]
         with pytest.raises(TableFormatError, match="trailing bytes"):
             decode(encode(sample_system()) + extra)
+
+
+class TestDecodeCache:
+    """A block the decoder accepted before is bound, not checked again;
+    what varies from push to push is checked on every push."""
+
+    def rejections(self, payload):
+        """The error on ``payload`` after the clean payload was decoded,
+        and with the cache cleared."""
+        deserialize(serialize(sample_system()))
+        held = dict(_DECODED), dict(_SCHEDULES), codec._decoded_bytes
+        with pytest.raises(TableFormatError) as warm:
+            deserialize(payload)
+        # A rejected push leaves the cache as it was.
+        assert (_DECODED, _SCHEDULES, codec._decoded_bytes) == held
+        clear_decode_cache()
+        with pytest.raises(TableFormatError) as cold:
+            deserialize(payload)
+        return str(warm.value), str(cold.value)
+
+    def test_changed_slice_record_rejected(self):
+        system = sample_system()
+        payload = bytearray(serialize(system))
+        first_slice = names_end(system) + 24 + 32 * len(system.cores[0].allocations)
+        assert struct.unpack_from("<i", payload, first_slice) == (0,)
+        struct.pack_into("<i", payload, first_slice, 1)
+        warm, cold = self.rejections(bytes(payload))
+        assert warm == cold == "cpu0: slice records disagree with its allocations"
+
+    def test_string_table_too_short_for_its_ids_rejected(self):
+        # Drop the last name, which only cpu1's block uses.
+        system = sample_system()
+        payload = serialize(system)
+        last = system.vcpu_names[-1]
+        assert last == "vm2.vcpu0"
+        cut = names_end(system) - 2 - len(last)
+        short = bytearray(payload[:cut] + payload[names_end(system) :])
+        struct.pack_into("<I", short, 16, len(system.vcpu_names) - 1)
+        warm, cold = self.rejections(bytes(short))
+        assert warm == cold == "vCPU id 2 out of range"
+
+    def test_changed_slice_count_rejected(self):
+        system = sample_system()
+        payload = bytearray(serialize(system))
+        count_at = names_end(system) + 16  # cpu0's slice count
+        (count,) = struct.unpack_from("<I", payload, count_at)
+        struct.pack_into("<I", payload, count_at, count - 1)
+        warm, cold = self.rejections(bytes(payload))
+        assert warm == cold == (
+            f"cpu0: {count - 1} slices of 2500 ns do not fit its allocations"
+        )
+
+    @pytest.mark.parametrize("fault", ["slice record", "parallel service"])
+    def test_rejected_push_remembers_none_of_its_cores(self, fault):
+        # cpu0 is new and passes its own checks; then cpu1's slice
+        # records are wrong, or cpu1 serves cpu0's vCPU at the same time.
+        system = sample_system()
+        if fault == "parallel service":
+            system.cores[1] = CoreTable(
+                cpu=1, length_ns=10_000, allocations=[Allocation(1_000, 2_000, "vm0.vcpu0")]
+            )
+        payload = bytearray(serialize(system))
+        if fault == "slice record":
+            last_slice = len(payload) - 8
+            assert struct.unpack_from("<i", payload, last_slice) == (-1,)
+            struct.pack_into("<i", payload, last_slice, 0)
+        clear_decode_cache()
+        with pytest.raises(TableFormatError):
+            deserialize(bytes(payload))
+        assert not _DECODED and not _SCHEDULES and codec._decoded_bytes == 0
+
+    def test_large_distinct_blocks_stay_within_the_byte_budget(self):
+        # Each push carries one new 4,000-record core: 128 kB of records,
+        # 64 kB of slice records and 80 kB of schedule, three times the
+        # budget in all.  The bytes held are counted exactly and never
+        # pass it, and the latest push is held.
+        def held():
+            blocks = sum(len(key[2]) + len(e.slices) for key, e in _DECODED.items())
+            return blocks + sum(len(k[1]) + len(k[2]) + len(k[3]) for k in _SCHEDULES)
+
+        pushes = 24
+        assert pushes * 272_000 > 3 * codec._DECODED_BYTES
+        clear_decode_cache()
+        for step in range(pushes):
+            length = 40_000 + step
+            allocations = [
+                Allocation(10 * k, 10 * k + 5, f"vm{k % 7}.vcpu0") for k in range(4_000)
+            ]
+            core = CoreTable(cpu=0, length_ns=length, allocations=allocations)
+            payload = serialize(SystemTable(length_ns=length, cores={0: core}))
+            deserialize(payload)
+            assert held() == codec._decoded_bytes <= codec._DECODED_BYTES
+            blocks = len(_DECODED)
+            deserialize(payload)
+            assert len(_DECODED) == blocks >= 1  # a hit
+        assert len(_DECODED) < pushes
+
+    def test_push_larger_than_the_budget_is_not_remembered(self, monkeypatch):
+        deserialize(serialize(sample_system()))
+        held = dict(_DECODED), dict(_SCHEDULES), codec._decoded_bytes
+        # A new 84-byte block: 32 of record, 32 of slices, 20 of schedule.
+        monkeypatch.setattr(codec, "_DECODED_BYTES", 50)
+        core = CoreTable(cpu=0, length_ns=20_000, allocations=[Allocation(0, 5_000, "vm0")])
+        deserialize(serialize(SystemTable(length_ns=20_000, cores={0: core})))
+        assert (_DECODED, _SCHEDULES, codec._decoded_bytes) == held
+
+    def test_block_repeated_within_a_push_is_read_once(self, monkeypatch):
+        # Idle cores carry the same (empty) block: the second is bound
+        # like a cached block, though the push is not remembered yet.
+        read = []
+        original = codec._read_block
+
+        def counting(*args):
+            read.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(codec, "_read_block", counting)
+        system = sample_system()
+        system.cores[2] = CoreTable(cpu=2, length_ns=10_000)
+        system.cores[3] = CoreTable(cpu=3, length_ns=10_000)
+        clear_decode_cache()
+        restored = deserialize(serialize(system))
+        assert len(read) == 3  # cpu0, cpu1 and the first idle core
+        assert restored.cores[3].slices == restored.cores[2].slices
+
+    def test_floored_block_keeps_its_own_slice_table(self):
+        # The same records travel floored and unfloored: each decode,
+        # cold or warm, installs the slice table its push carried.
+        def system(floor):
+            table = SystemTable(length_ns=10_000, cores=dict(sample_system().cores))
+            table.build_slices(min_slice_len_ns=floor)
+            return table
+
+        floored, unfloored = serialize(system(5_000)), serialize(system(1))
+        clear_decode_cache()
+        for payload, slice_len in [(floored, 5_000), (unfloored, 1_000)] * 2:
+            restored = deserialize(payload)
+            assert restored.cores[1].slice_len_ns == slice_len
+            assert serialize(restored) == payload
 
 
 class TestArrayFormat:

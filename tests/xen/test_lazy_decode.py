@@ -1,10 +1,10 @@
 """A full push stays columnar until the hypervisor reads its allocations.
 
-The 'TBLO' decoder keeps each core's records as integer columns; a
-decoded :class:`CoreTable` builds its :class:`Allocation` list on the
-first read of ``allocations`` and caches it.  Pushing a table therefore
-constructs no allocation on the receiver, and once read the list, the
-table's equality, repr and pickle match the sender's.
+The 'TBLO' decoder binds each core to shared segment columns; a decoded
+:class:`CoreTable` builds its :class:`Allocation` list on the first read
+of ``allocations`` and caches it.  Pushing a table therefore constructs
+no allocation on the receiver, and once read the list, the table's
+equality, repr and pickle match the sender's.
 """
 
 import pickle
@@ -126,4 +126,4 @@ class TestFullPushIsLazy:
         assert clone == lazy
         for core in clone.cores.values():
             assert "allocations" in vars(core)
-            assert "_records" not in vars(core)
+            assert core._segments is None

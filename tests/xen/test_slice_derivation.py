@@ -1,11 +1,13 @@
 """Each slice table on the push path is derived once.
 
 Counts :meth:`CoreTable.derive_slices` calls per core object (the one
-derivation; ``build_slices`` and the decoder both call it): the decoder
-derives every pushed core's slice table, the dispatcher installs it
-without rebuilding, a delta push rebuilds only the cores it carries, and
-on the planner side a slice table is derived once per shared segments —
-cores of one shape and table-cache rebinds install it, deriving nothing.
+derivation; ``build_slices`` calls it, for the planner and the decoder
+alike): the decoder derives one slice table per distinct received
+schedule and none for a core block it accepted before, the dispatcher
+installs it without rebuilding, a delta push rebuilds only the cores it
+carries, and on the planner side a slice table is derived once per
+shared segments — cores of one shape and table-cache rebinds install
+it, deriving nothing.
 """
 
 from collections import Counter
@@ -15,6 +17,7 @@ import pytest
 from repro.core import MS, Planner, make_vm
 from repro.core.cache import TableCache
 from repro.core.params import flatten_vcpus
+from repro.core.serialize import clear_decode_cache
 from repro.core.table import CoreTable, SystemTable
 from repro.schedulers import TableauScheduler
 from repro.topology import uniform, xeon_16core
@@ -57,8 +60,21 @@ def derivations_per_slice_table(builds, cores):
     return Counter(id(core.slices) for core in builds if id(core) in ids)
 
 
+def schedule(core):
+    """A core's name-free schedule: its allocations' times, and their
+    vCPUs numbered in order of first allocation."""
+    order = list(dict.fromkeys(alloc.vcpu for alloc in core.allocations))
+    return tuple(
+        (alloc.start, alloc.end, order.index(alloc.vcpu))
+        for alloc in core.allocations
+    )
+
+
 class TestFullPush:
-    def test_one_build_per_received_core_plus_missing_planner_cores(self, builds):
+    def test_one_build_per_received_schedule_plus_missing_planner_cores(
+        self, builds
+    ):
+        clear_decode_cache()
         hypercall = hypercall_on_empty_table()
         # A shape no other test plans, so no earlier push has built
         # slices on the segments it plans.
@@ -67,9 +83,15 @@ class TestFullPush:
         assert missing  # the planner leaves slice tables to the push
         hypercall.push_system_table(plan.table)
         received = list(hypercall.staged_table.cores.values())
-        assert Counter(map(id, builds)) - Counter(map(id, missing)) == once_each(
-            received
-        )
+        on_receiver = [core for core in builds if id(core) in set(map(id, received))]
+        on_planner = [core for core in builds if id(core) in set(map(id, missing))]
+        assert len(on_receiver) + len(on_planner) == len(builds)
+        # Received cores of one name-free schedule share one slice table,
+        # derived once, on the first of them.
+        schedules = {schedule(core) for core in received}
+        assert len(schedules) < len(received)
+        assert sorted(map(schedule, on_receiver)) == sorted(schedules)
+        assert len({id(core.slices) for core in received}) == len(schedules)
         # Cores of one shape share their segments and so their slice
         # table: it was derived once, on one of them.
         shared = {id(core.slices) for core in missing}
@@ -78,15 +100,20 @@ class TestFullPush:
             dict.fromkeys(shared, 1)
         )
 
-    def test_repush_builds_only_on_the_receiver(self, builds):
+    def test_repush_derives_nothing(self, builds):
         hypercall = hypercall_on_empty_table()
         plan = Planner(xeon_16core()).plan(census(44))
         hypercall.push_system_table(plan.table)
+        first = hypercall.staged_table
         builds.clear()
         hypercall.push_system_table(plan.table)
-        assert Counter(map(id, builds)) == once_each(
-            hypercall.staged_table.cores.values()
-        )
+        assert builds == []
+        # Every received core binds the segments and slice table its
+        # block brought the first time.
+        for cpu, core in hypercall.staged_table.cores.items():
+            assert core is not first.cores[cpu]
+            assert core.slices is first.cores[cpu].slices
+            assert core.allocations == first.cores[cpu].allocations
 
 
 class TestDeltaPush:
