@@ -61,7 +61,7 @@ from repro.core.periods import HYPERPERIOD_NS, MIN_PERIOD_NS
 from repro.core.postprocess import DEFAULT_COALESCE_NS, CoalesceReport
 from repro.core.serialize import table_size_bytes
 from repro.core.splitting import DEFAULT_MIN_PIECE_NS, semi_partition
-from repro.core.table import CoreTable, SystemTable
+from repro.core.table import CoreTable, SystemTable, home_cores_by_first_start
 from repro.core.tasks import PeriodicTask, vcpu_to_task
 from repro.errors import AdmissionError, PlanningError
 from repro.topology import Topology, uniform
@@ -693,15 +693,11 @@ class Planner:
                     info[name] = []
                 entries.append((first_starts[base], cpu))
                 info[name].append((cpu, record, base))
-        home_cores = {
-            name: [cpu for _start, cpu in sorted(entries)]
-            for name, entries in homes.items()
-        }
         system = SystemTable(
             length_ns=self.hyperperiod_ns,
             cores={cpu: core.table for cpu, core in cores.items()},
             vcpu_names=names,
-            home_cores=home_cores,
+            home_cores=home_cores_by_first_start(homes),
         )
         return system, info
 

@@ -569,6 +569,25 @@ _PICKLED_FIELDS = tuple(
 )
 
 
+def home_cores_by_first_start(
+    homes: Dict[str, List[Tuple[int, int]]]
+) -> Dict[str, List[int]]:
+    """Each vCPU's home cores, from its ``(first start, cpu)`` entries,
+    in time order of those starts (:attr:`SystemTable.home_cores`).
+
+    Nearly every vCPU has one home core, which is its whole list; only
+    vCPUs homed on several cores are sorted (in place).
+    """
+    home_cores: Dict[str, List[int]] = {}
+    for name, entries in homes.items():
+        if len(entries) == 1:
+            home_cores[name] = [entries[0][1]]
+        else:
+            entries.sort()
+            home_cores[name] = [cpu for _start, cpu in entries]
+    return home_cores
+
+
 @dataclass
 class SystemTable:
     """The complete scheduling table for a machine.
@@ -619,10 +638,7 @@ class SystemTable:
                     # on this core has it as its last entry.
                     entries.append((start, cpu))
         self.vcpu_names = names
-        self.home_cores = {
-            name: [cpu for _, cpu in sorted(entries)]
-            for name, entries in homes.items()
-        }
+        self.home_cores = home_cores_by_first_start(homes)
 
     @property
     def num_cores(self) -> int:

@@ -43,8 +43,10 @@ object implementation:
 * clock skew or timer jitter faults -> the resched/timer kernels are
   compiled *as* the object path (the whole run is affected);
 * stuck-guest faults -> burst completion delegated likewise;
-* a staged table switch -> resched delegated per call until the wrap
-  (the switch listener then recompiles the arrays);
+* a staged table switch -> only the resched that activates it (the
+  first at or after its wrap) is delegated, and the switch listener
+  recompiles the arrays; until then the serving table is unchanged, so
+  the kernels keep playing it;
 * a degraded core (corrupt table) -> that core's rescheds delegated to
   the round-robin path while healthy cores keep playing the table;
 * quarantined vCPUs are honored inline (shared dict reads).
@@ -216,10 +218,19 @@ def _compile_resched(program: "TableauArrayProgram", cpu: _Cpu) -> Callable[[], 
         op_schedule=OP_SCHEDULE,
         op_migrate=OP_MIGRATE,
     ):
-        if sched._pending_table is not None or (degraded and index in degraded):
+        now = engine.now
+        # A staged table changes nothing until its activation wrap
+        # (``pick_next`` only calls ``_maybe_switch``), so the kernel plays
+        # the serving table through the staged window and delegates the
+        # resched that is due to switch.  This is ``_maybe_switch``'s own
+        # test; it relies on ``program.length_ns`` being the serving
+        # table's length, which every compile (build, each switch) sets.
+        if (
+            sched._pending_table is not None
+            and now // program.length_ns >= sched._pending_cycle
+        ) or (degraded and index in degraded):
             do_resched(cpu)
             return
-        now = engine.now
         handle = cpu.resched
         if handle is not None:
             if not handle._dead:

@@ -8,6 +8,7 @@ from repro.core import (
     METHOD_SEMI_PARTITIONED,
     MS,
     Planner,
+    SystemTable,
     VCpuSpec,
     deserialize,
     make_vm,
@@ -152,6 +153,28 @@ class TestClusteredPlans:
         result = Planner(uniform(4)).plan(census_of(census))
         assert result.stats.method == METHOD_CLUSTERED
         assert result.stats.cluster_cores == [0, 3]
+
+
+class TestAssembledIndex:
+    """``Planner._assemble`` builds the vCPU index from its records; it
+    must equal what ``SystemTable._rebuild_index`` derives from the same
+    cores, including the home-core order of split vCPUs."""
+
+    @pytest.mark.parametrize(
+        "cores, census, method",
+        [
+            (2, [(0.6, 100)] * 3, METHOD_SEMI_PARTITIONED),
+            (3, TestClusteredPlans.CENSUS, METHOD_CLUSTERED),
+        ],
+    )
+    def test_index_matches_rebuilt_index(self, cores, census, method):
+        result = Planner(uniform(cores)).plan(census_of(census))
+        table = result.table
+        derived = SystemTable(length_ns=table.length_ns, cores=dict(table.cores))
+        assert result.stats.method == method
+        assert any(table.is_split(name) for name in table.vcpu_names)
+        assert table.vcpu_names == derived.vcpu_names
+        assert table.home_cores == derived.home_cores
 
 
 class TestDedicatedCores:

@@ -8,15 +8,23 @@ accounting.  This suite sweeps the scheduler x seed grid fault-free,
 then the regimes where the array engine must *fall back* per call
 rather than diverge: the full chaos runtime preset (skew and timer
 faults, lost/delayed IPIs, stuck guests) and health-supervised
-degraded-mode dispatch after a corrupted table switch.
+degraded-mode dispatch after a corrupted table switch; and tables
+pushed by the planner daemon and switched live, where only the
+activating resched may leave the compiled kernels.
 """
 
 import hashlib
+import random
+from functools import lru_cache
 
 import pytest
 
+from repro.core.params import MS, make_vm
+from repro.core.periods import HYPERPERIOD_NS
+from repro.core.planner import Planner
 from repro.experiments.scenarios import build_scenario
 from repro.faults.plan import (
+    SITE_ACTIVATION,
     SITE_IPI_LOST,
     SITE_TABLE_SWITCH,
     FaultPlan,
@@ -24,11 +32,15 @@ from repro.faults.plan import (
     runtime_preset,
 )
 from repro.health import run_chaos
+from repro.schedulers import TableauScheduler
+from repro.sim import VCpu
 from repro.sim.arraycore import ENGINES, ArrayMachine, ArrayTracer
 from repro.sim.machine import Machine
 from repro.sim.tracing import Tracer
 from repro.topology import uniform
 from repro.workloads import IoLoop
+from repro.xen.daemon import PlannerDaemon
+from repro.xen.hypercall import TableHypercall
 
 SCHEDULERS = ("tableau", "credit", "credit2", "rtds")
 SEEDS = (42, 43, 101)
@@ -175,6 +187,157 @@ class TestFaultedDifferential:
             runs["array"].machine
         )
         assert runs["object"].health_report == runs["array"].health_report
+
+
+#: Every third table round one VM is removed or restored, so each push
+#: stays staged for one round of three (two with an activation delay).
+CHANGE_EVERY_ROUNDS = 3
+
+
+@lru_cache(maxsize=None)
+def live_switch_run(engine, seed, case):
+    """A small ``dispatch``-like run with tables switching live.
+
+    Twelve ``IoLoop`` VMs on four cores, even ones capped and odd ones
+    uncapped (so second-level budgets carry across switches).  Every
+    ``CHANGE_EVERY_ROUNDS`` table rounds the population saws one VM down
+    (12 to 10) or back up, chosen by ``random.Random(seed)``, and the
+    daemon replans through a ``TableHypercall``, which moves home cores.
+    ``case`` adds one disturbance to the switch window:
+
+    * ``"activation-delay"``: the 2nd and 5th pushes activate a round late;
+    * ``"switch-failure"``: the 3rd activation fails (no corruption), so
+      that table never serves;
+    * ``"double-push"``: after the 3rd change, a 4th follows a quarter
+      round later, overwriting the staged table before its wrap;
+    * ``"length-change"``: the 3rd change pushes a table planned on twice
+      the table length, so the window after it is counted in longer
+      rounds until the next push brings the old length back.
+
+    Returns what both engines must agree on, plus the number of
+    rescheds that took the object path (``Machine._do_resched``).
+    """
+    specs = {}
+    for i in range(12):
+        capped = i % 2 == 0
+        name = f"vm{i:02d}"
+        specs[name] = make_vm(
+            name, 0.25 if capped else 0.2, (20 if capped else 30) * MS, capped=capped
+        )
+    present = sorted(specs)
+    rng = random.Random(seed)
+    topology = uniform(4)
+    daemon = PlannerDaemon(topology)
+    boot = daemon.replan([specs[name] for name in present], reason="boot")
+    switch_faults = None
+    if case == "switch-failure":
+        switch_faults = FaultPlan(
+            seed=seed, specs=[FaultSpec(site=SITE_TABLE_SWITCH, calls=(3,))]
+        )
+    scheduler = TableauScheduler(boot.table, faults=switch_faults)
+    machine_cls = ArrayMachine if engine == "array" else Machine
+    machine = machine_cls(
+        topology, scheduler, seed=seed, tracer=Tracer(keep_dispatches=True)
+    )
+    for i, name in enumerate(present):
+        machine.add_vcpu(VCpu(f"{name}.vcpu0", IoLoop(), capped=i % 2 == 0))
+    push_faults = None
+    if case == "activation-delay":
+        push_faults = FaultPlan(
+            seed=seed,
+            specs=[FaultSpec(site=SITE_ACTIVATION, calls=(2, 5), delay_cycles=1)],
+        )
+    hypercall = TableHypercall(scheduler, faults=push_faults)
+    daemon.hypercall = hypercall
+    served_lengths = []
+    scheduler.add_switch_listener(
+        lambda old, new, now: served_lengths.append(new.length_ns)
+    )
+    object_rescheds = 0
+    do_resched = machine._do_resched
+
+    def counted_resched(cpu):
+        nonlocal object_rescheds
+        object_rescheds += 1
+        do_resched(cpu)
+
+    # The array program binds this attribute when it compiles (first run).
+    machine._do_resched = counted_resched
+    falling = True
+    length = boot.table.length_ns
+
+    def change():
+        nonlocal present, falling
+        if len(present) == 12:
+            falling = True
+        elif len(present) == 10:
+            falling = False
+        if falling:
+            present.remove(rng.choice(present))
+        else:
+            absent = sorted(set(specs) - set(present))
+            present = sorted(present + [rng.choice(absent)])
+        census = [specs[name] for name in present]
+        if case == "length-change" and len(hypercall.pushes) == 2:
+            planner = Planner(topology, hyperperiod_ns=2 * length)
+            hypercall.push_system_table(planner.plan(census).table)
+        else:
+            daemon.replan(census, reason="change")
+        if case == "double-push" and len(hypercall.pushes) == 3:
+            machine.engine.after(length // 4, change)
+
+    machine.engine.every(CHANGE_EVERY_ROUNDS * length, change)
+    machine.run(30 * length)
+    return {
+        "observables": observables(machine),
+        "switches": scheduler.table_switches,
+        "activations": hypercall.activations,
+        "failed_activations": hypercall.failed_activations,
+        "retired_unactivated": hypercall.retired_unactivated,
+        "delayed_pushes": sum(1 for push in hypercall.pushes if push.delayed_cycles),
+        "served_lengths": served_lengths,
+        "dispatch_counts": {
+            name: vcpu.dispatch_count for name, vcpu in machine.vcpus.items()
+        },
+    }, object_rescheds
+
+
+LIVE_SWITCH_CASES = [
+    ("none", 1),
+    ("none", 2),
+    ("none", 3),
+    ("activation-delay", 1),
+    ("switch-failure", 1),
+    ("double-push", 1),
+    ("length-change", 1),
+]
+
+
+class TestLiveTableSwitches:
+    """Tables pushed and switched mid-run: both engines agree, and the
+    array engine leaves its kernels only for the activating resched."""
+
+    @pytest.mark.parametrize("case, seed", LIVE_SWITCH_CASES)
+    def test_backends_agree_across_switches(self, case, seed):
+        obj, _ = live_switch_run("object", seed, case)
+        arr, _ = live_switch_run("array", seed, case)
+        assert arr["switches"] >= 8
+        assert obj == arr
+        if case == "activation-delay":
+            assert arr["delayed_pushes"] == 2
+        if case == "switch-failure":
+            assert arr["failed_activations"] == 1
+        if case == "double-push":
+            assert arr["retired_unactivated"] == 1
+        if case == "length-change":
+            assert set(arr["served_lengths"]) == {HYPERPERIOD_NS, 2 * HYPERPERIOD_NS}
+
+    @pytest.mark.parametrize("case, seed", LIVE_SWITCH_CASES)
+    def test_staged_window_stays_compiled(self, case, seed):
+        # Only the resched at or after a staged table's wrap (which
+        # switches it, or fails to) runs on the object path.
+        arr, object_rescheds = live_switch_run("array", seed, case)
+        assert object_rescheds == arr["switches"] + arr["failed_activations"]
 
 
 class TestArrayTracer:
