@@ -10,7 +10,9 @@ an optimization must not break:
 * repeated replanning converges on the same table (plan fingerprint);
 * the planner's core-table memo actually hits on incremental replans;
 * the full-push decoder derives nothing for core blocks it accepted
-  before, and its cache at least halves the decode.
+  before, and its cache at least halves the decode;
+* table-cache hits travel as deltas, and a one-core delta push costs at
+  most 0.55 of a full push (interleaved best-of-N walls, a ratio).
 
 Full-scale numbers (and the frozen seed baseline) live in
 ``BENCH_hotpath.json``; regenerate with
@@ -232,6 +234,15 @@ def test_plan_transport_travels_as_deltas():
         f"delta payloads only {transport['bytes_ratio']}x smaller than "
         "a full table"
     )
+    # Table-cache hits keep the committed placement: every push after
+    # the boot push is a delta.
+    hits = transport["cache_hit"]
+    assert hits["hits"] == hits["pushes"]
+    assert hits["delta_pushes"] == hits["pushes"], hits
+    # Interleaved best-of-N walls: a delta carrying one of 12 busy cores
+    # costs at most 0.55 of a full push of the same table (measured
+    # 0.48 on a 2-vCPU x86 host, where the parent measured 0.62).
+    assert transport["delta_over_full"] <= 0.55, transport["delta_over_full"]
     publish(
         "perf_plan_transport",
         "delta table transport (quick scale)\n"
@@ -239,7 +250,9 @@ def test_plan_transport_travels_as_deltas():
         f"delta pushes     {transport['delta_pushes']}/{transport['pushes']}\n"
         f"payload bytes    {transport['delta_bytes']} vs "
         f"{transport['full_table_bytes']} full "
-        f"({transport['bytes_ratio']}x smaller)",
+        f"({transport['bytes_ratio']}x smaller)\n"
+        f"cache-hit deltas {hits['delta_pushes']}/{hits['pushes']}\n"
+        f"delta over full  {transport['delta_over_full']}",
     )
 
 

@@ -474,6 +474,19 @@ class CoreTable:
             i if i < 0 else other_names[i] for i in theirs.ids
         ]
 
+    def name_pairs(
+        self, other: "CoreTable"
+    ) -> Optional[List[Tuple[Optional[str], Optional[str]]]]:
+        """Each segment id's name here and in ``other``, as ``(mine,
+        theirs)`` pairs, when both tables hold equal segments (so
+        ``other`` is this schedule under those names); ``None`` when the
+        segments differ."""
+        mine, names = self._columns()
+        theirs, other_names = other._columns()
+        if mine is not theirs and (mine.ends != theirs.ends or mine.ids != theirs.ids):
+            return None
+        return [(names[i], other_names[i]) for i in mine.served]
+
     def renamed(self, rename: Dict[str, str]) -> "CoreTable":
         """This schedule with vCPU ``old`` renamed ``rename[old]``: a table
         bound to the same segments, so it shares their slice table."""

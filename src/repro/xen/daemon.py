@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, TYPE_CHECKING
+from typing import Callable, Deque, Dict, List, Optional, TYPE_CHECKING, Union
 
 from repro.core import METHOD_PARTITIONED, Planner, PlanResult, TableCache
 from repro.core.params import VMSpec, flatten_vcpus
@@ -57,6 +57,23 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 STATUS_COMMITTED = "committed"
 STATUS_PLAN_FAILED = "plan-failed"
 STATUS_PUSH_FAILED = "push-failed"
+
+#: Why a push travelled as a full table, counted in
+#: :attr:`PlannerDaemon.full_push_reasons`: the plan is not partitioned,
+#: nothing was pushed before, the table length or core set changed, more
+#: than half the cores changed, or the hypervisor bounced the delta.
+FULL_METHOD = "method"
+FULL_NO_BASE = "no-base"
+FULL_GEOMETRY = "geometry"
+FULL_OVER_HALF = "over-half"
+FULL_DELTA_BOUNCED = "delta-bounced"
+FULL_PUSH_REASONS = (
+    FULL_METHOD,
+    FULL_NO_BASE,
+    FULL_GEOMETRY,
+    FULL_OVER_HALF,
+    FULL_DELTA_BOUNCED,
+)
 
 #: Default size of the bounded episode/backoff rings.  Large enough for
 #: any test or audit window, small enough that a persistent service
@@ -167,6 +184,9 @@ class PlannerDaemon:
         self.delta_pushes = 0
         self.full_pushes = 0
         self.delta_fallbacks = 0
+        #: Each full push counted under its one reason
+        #: (``FULL_PUSH_REASONS``); the counts sum to ``full_pushes``.
+        self.full_push_reasons: Dict[str, int] = dict.fromkeys(FULL_PUSH_REASONS, 0)
         #: Invoked as (result, record) right after a replan commits (new
         #: table safely staged).  The health supervisor uses it to learn
         #: that a clean table is on its way to the dispatcher.
@@ -191,7 +211,9 @@ class PlannerDaemon:
             raise error
         try:
             if self.cache is not None:
-                result = self.cache.plan(flatten_vcpus(specs))
+                # A hit keeps the committed placement where it can, so
+                # the delta against the pushed table stays small.
+                result = self.cache.plan(flatten_vcpus(specs), base=self.current_plan)
             else:
                 result = self.planner.plan(specs)
         except ReproError as error:
@@ -275,63 +297,67 @@ class PlannerDaemon:
         push rather than failing the episode; any *other* format error
         propagates to the caller's fail-fast handling.  Exceptions
         leave ``_last_pushed_table`` untouched, so retry attempts
-        re-evaluate delta eligibility against the real base.
+        re-evaluate delta eligibility against the real base.  Each full
+        push is counted under its reason in :attr:`full_push_reasons`.
         """
         hypercall = self.hypercall
         assert hypercall is not None
         table = result.table
-        changed = self._changed_cores(table) if self._delta_eligible(result) else None
-        # Worth a delta only when at most half the cores moved;
-        # otherwise the full table is barely bigger and needs no base.
-        if changed is not None and 2 * len(changed) <= len(table.cores):
+        changed = self._delta_cores(result)
+        if isinstance(changed, str):
+            reason = changed
+        else:
             try:
                 push = hypercall.push_system_table_delta(
                     table, changed, self._last_push_token
                 )
             except TableDeltaMismatchError:
                 self.delta_fallbacks += 1
+                reason = FULL_DELTA_BOUNCED
             else:
                 self.delta_pushes += 1
                 self._note_pushed(table)
                 return push
         push = hypercall.push_system_table(table)
         self.full_pushes += 1
+        self.full_push_reasons[reason] += 1
         self._note_pushed(table)
         return push
 
-    def _delta_eligible(self, result: PlanResult) -> bool:
-        """Whether ``result`` may travel as a delta at all.
+    def _delta_cores(self, result: PlanResult) -> Union[List[int], str]:
+        """The cores a delta push of ``result`` carries, or the reason
+        (a ``FULL_*`` constant) it must travel in full.
 
         Deltas are restricted to partitioned plans: split pieces (``#k``
         names) and DP-WRAP clusters couple cores through shared vCPUs,
         so a per-core diff no longer captures the full schedule change
         safely.  The peephole pass rewrites each core on its own, so a
-        partitioned peephole plan is a valid per-core delta.
-        """
-        return result.stats.method == METHOD_PARTITIONED
+        partitioned peephole plan is a valid per-core delta.  A delta
+        needs a base of the same geometry (length, core set), and is
+        worth it only when at most half the cores changed; otherwise
+        the full table is barely bigger and needs no base.
 
-    def _changed_cores(self, table: SystemTable) -> Optional[List[int]]:
-        """Cores whose schedule differs from the last pushed table.
-
-        Returns ``None`` when no delta base exists or the geometry
-        (length, core set) changed — i.e. a delta is inexpressible.
         A core is unchanged when it is the pushed table's own object (a
-        plan memo hit) or holds the same schedule
-        (:meth:`~repro.core.table.CoreTable.same_schedule`, which only
-        compares the names of cores bound to the same shared segments).
+        plan memo hit, or a core a cache hit kept) or holds the same
+        schedule (:meth:`~repro.core.table.CoreTable.same_schedule`,
+        which only compares the names of cores bound to the same shared
+        segments).
         """
+        if result.stats.method != METHOD_PARTITIONED:
+            return FULL_METHOD
         base = self._last_pushed_table
         if base is None:
-            return None
-        if base.length_ns != table.length_ns:
-            return None
-        if set(base.cores) != set(table.cores):
-            return None
+            return FULL_NO_BASE
+        table = result.table
+        if base.length_ns != table.length_ns or set(base.cores) != set(table.cores):
+            return FULL_GEOMETRY
         changed: List[int] = []
         for cpu, core in table.cores.items():
             old = base.cores[cpu]
             if core is not old and not core.same_schedule(old):
                 changed.append(cpu)
+        if 2 * len(changed) > len(table.cores):
+            return FULL_OVER_HALF
         return changed
 
     def _note_pushed(self, table: SystemTable) -> None:

@@ -25,18 +25,21 @@ push never disturbs the serving table.
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from dataclasses import dataclass
 
 from repro.core.serialize import (
+    ScheduleKey,
+    bind_delta_core,
     check_parallel_service,
     deserialize,
     deserialize_delta,
+    remember_schedules,
     serialize,
     serialize_delta,
 )
-from repro.core.table import CoreTable, Segments, SystemTable
+from repro.core.table import Segments, SystemTable
 from repro.errors import TableDeltaMismatchError, TableFormatError, TablePushError
 from repro.faults.plan import SITE_ACTIVATION, SITE_PAYLOAD, SITE_PUSH, corrupt_payload
 from repro.schedulers.tableau import TableauScheduler
@@ -173,8 +176,11 @@ class TableHypercall:
 
         The delta is applied on top of the most recently pushed table:
         cores absent from the payload share that base table's
-        ``CoreTable`` objects outright (zero-copy), cores present are
-        rebuilt from their gap-free segment columns.  A delta whose base
+        ``CoreTable`` objects outright (zero-copy), and each core present
+        is bound to its name-free schedule
+        (:func:`~repro.core.serialize.bind_delta_core`): one an earlier
+        delta carried shares its segments and slice table, so only a new
+        schedule is built and has its slice table derived.  A delta whose base
         token does not name the current push generation — or whose
         geometry disagrees with the base — is rejected with
         :class:`TableDeltaMismatchError` *before* anything is staged;
@@ -184,7 +190,8 @@ class TableHypercall:
         changed core's columns and the base cores were checked when they
         were pushed, so the one check left is the assembled table's
         no-parallel-service check: a vCPU served on two cores at once
-        raises :class:`TableFormatError`, as in a full push.
+        raises :class:`TableFormatError`, as in a full push.  The push's
+        new schedules are remembered only once that check passed.
         """
         payload = self._consult_push_faults(payload)
         length_ns, names, base_token, columns = deserialize_delta(payload)
@@ -204,16 +211,18 @@ class TableHypercall:
                 f"{base.length_ns}"
             )
         cores = dict(base.cores)
+        schedules: Dict[ScheduleKey, Segments] = {}
         for cpu, (ends, handles) in columns.items():
             if cpu not in cores:
                 raise TableDeltaMismatchError(
                     f"delta for cpu {cpu} absent from the base table"
                 )
-            cores[cpu] = CoreTable.bound(
-                cpu, length_ns, Segments.from_columns(ends, handles), names
+            cores[cpu] = bind_delta_core(
+                cpu, length_ns, ends, handles, names, schedules
             )
         table = SystemTable(length_ns=length_ns, cores=cores)
         check_parallel_service(table)
+        remember_schedules(schedules)
         return self._stage(table, len(payload), delta=True)
 
     def _consult_push_faults(self, payload: bytes) -> bytes:

@@ -10,7 +10,12 @@ pass off and on:
   with the shape cache cleared;
 * a :class:`TableCache` hit must be the cached plan under a renaming of
   its vCPUs — same tables, same assignment, same vCPU index — and its
-  tasks must be the tasks a cold planner derives for the new census.
+  tasks must be the tasks a cold planner derives for the new census;
+* a hit rebound against a base plan (the plan serving now) must be the
+  cached plan under a renaming that keeps every reservation, serve each
+  vCPU its share within its latency goal on one core at a time (read off
+  the table, not from the planner's audit), and be the base's own table
+  on every core that can keep the base's names.
 
 The explicit examples are two bugs: a cache key that rounded
 utilization to ppm (0.333333 and 1/3 shared an entry, so the rebound
@@ -25,7 +30,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import MS, Planner, TableCache, edfcore, make_vm
+from repro.core.cache import rebind_plan
 from repro.core.params import flatten_vcpus
+from repro.core.periods import HYPERPERIOD_NS, MIN_PERIOD_NS
+from repro.core.postprocess import DEFAULT_COALESCE_NS
 from repro.core.plancache import shape_plan_key
 from repro.core.serialize import serialize, serialize_arrays
 from repro.errors import AdmissionError, PlanningError
@@ -153,6 +161,37 @@ def task_key(task):
     return (task.name, task.cost, task.period, task.deadline, task.offset)
 
 
+def reservation(spec):
+    return (spec.utilization, spec.latency_ns, spec.capped)
+
+
+def assert_cached_plan_renamed(cached, result):
+    """``result`` is ``cached`` under a bijection that keeps every
+    reservation, and its tasks and assignment follow the names."""
+    mapping = renaming(cached, result)
+    assert set(mapping) == set(cached.vcpus)
+    assert set(mapping.values()) == set(result.vcpus)
+    for old, new in mapping.items():
+        assert reservation(cached.vcpus[old]) == reservation(result.vcpus[new])
+    assert list(result.vcpus) == sorted(result.vcpus)
+    assert result.table.vcpu_names == [mapping[n] for n in cached.table.vcpu_names]
+    assert result.table.home_cores == {
+        mapping[name]: homes for name, homes in cached.table.home_cores.items()
+    }
+    assert set(result.tasks) == set(result.vcpus)
+    for old, task in cached.tasks.items():
+        new = result.tasks[mapping[old]]
+        assert task_key(new) == renamed_task(task, mapping)
+        assert new.vcpu == result.vcpus[mapping[old]]
+    assert set(result.assignment) == set(cached.assignment)
+    for core, tasks in cached.assignment.items():
+        assert [task_key(t) for t in result.assignment[core]] == [
+            renamed_task(t, mapping) for t in tasks
+        ]
+        for task in result.assignment[core]:
+            assert task.vcpu == result.vcpus[task.name.split("#")[0]]
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=shape_twins(), peephole=st.booleans())
 @example(case=PPM_CASE, peephole=False)
@@ -171,28 +210,11 @@ def test_table_cache_hit_is_the_cached_plan_renamed(case, peephole):
         assert result.tasks == cold.tasks
     if not cache.stats.hits:
         return
-    mapping = renaming(cached, result)
-    assert set(mapping) == set(cached.vcpus)
-    for old, new in mapping.items():
-        before, after = cached.vcpus[old], result.vcpus[new]
-        assert (before.utilization, before.latency_ns, before.capped) == (
-            after.utilization,
-            after.latency_ns,
-            after.capped,
-        )
-    assert result.table.vcpu_names == [mapping[n] for n in cached.table.vcpu_names]
-    assert result.table.home_cores == {
-        mapping[name]: homes for name, homes in cached.table.home_cores.items()
-    }
+    assert_cached_plan_renamed(cached, result)
     assert result.table.as_arrays().keys() == cached.table.as_arrays().keys()
     for cpu, columns in cached.table.as_arrays().items():
         assert [c.tolist() for c in result.table.as_arrays()[cpu]] == [
             c.tolist() for c in columns
-        ]
-    assert set(result.assignment) == set(cached.assignment)
-    for core, tasks in cached.assignment.items():
-        assert [task_key(t) for t in result.assignment[core]] == [
-            renamed_task(t, mapping) for t in tasks
         ]
 
 
@@ -225,3 +247,160 @@ def test_rebind_keeps_pieces_in_assignment(peephole):
     pieces = [t for ts in rebound.assignment.values() for t in ts if "#" in t.name]
     assert len(pieces) == 2
     assert all(t.vcpu is rebound.vcpus[t.name.split("#")[0]] for t in pieces)
+
+
+# ----------------------------------------------------------------------
+# Rebinding against a base: a hit keeps the committed placement
+# ----------------------------------------------------------------------
+
+#: Slack of the share check: coalescing may move up to the threshold per
+#: allocation boundary (twice per vCPU), and each job's cost is floored.
+SHARE_SLACK_NS = 2 * DEFAULT_COALESCE_NS + HYPERPERIOD_NS // MIN_PERIOD_NS
+
+
+#: A C=D base: two of its three 60% VMs stay, one is new.
+SPLIT_REBIND_CASE = (
+    2,
+    [(0.6, 10)] * 3,
+    [(0.6, 10)] * 3,
+    True,
+    [("b2", (0.6, 10)), ("b0", (0.6, 10)), ("n2", (0.6, 10))],
+)
+
+
+@st.composite
+def rebind_cases(draw):
+    """A census, a base plan's census and mode, and a same-shape census
+    sharing some names with the base.
+
+    Cores hold partitioned, C=D (split pieces) and DP-WRAP plans, and a
+    dedicated core when a 100% VM fits.  The base census has the first
+    census's shape under other names; the base is a cache hit of it
+    (the cached segments under its names) or a fresh plan of it without
+    its last VM.  Each VM of the last census takes an unused base name
+    of the same (U, L), an unused base name of another (U, L), or a new
+    name.
+    """
+    cores, pairs = draw(censuses())
+    if draw(st.booleans()) and sum(u for u, _l in pairs) + 1 <= cores:
+        pairs = pairs + [(1.0, 10)]
+    base_pairs = draw(st.permutations(pairs))
+    unused = {f"b{i}": pair for i, pair in enumerate(base_pairs)}
+    named = []
+    for i, pair in enumerate(draw(st.permutations(pairs))):
+        choice = draw(st.sampled_from(("same", "other", "new")))
+        candidates = sorted(
+            name
+            for name, held in unused.items()
+            if (held == pair) == (choice == "same")
+        )
+        if choice == "new" or not candidates:
+            named.append((f"n{i}", pair))
+        else:
+            name = draw(st.sampled_from(candidates))
+            del unused[name]
+            named.append((name, pair))
+    return cores, pairs, base_pairs, draw(st.booleans()), named
+
+
+def census_of(named):
+    return flatten_vcpus(
+        [make_vm(name, u, latency_ms * MS) for name, (u, latency_ms) in named]
+    )
+
+
+def slots(core):
+    """A core's schedule without names: each allocation's times and its
+    vCPU numbered by first appearance."""
+    number = {}
+    return [
+        (alloc.start, alloc.end, number.setdefault(alloc.vcpu, len(number)))
+        for alloc in core.allocations
+    ]
+
+
+def assert_guarantees(result):
+    """Share, blackout and no parallel service, read off the table."""
+    table = result.table
+    length = table.length_ns
+    intervals = {name: [] for name in result.vcpus}
+    for core in table.cores.values():
+        for alloc in core.allocations:
+            intervals[alloc.vcpu].append((alloc.start, alloc.end))
+    for name, spec in result.vcpus.items():
+        served = sorted(intervals[name])
+        assert sum(end - start for start, end in served) + SHARE_SLACK_NS >= (
+            spec.utilization * length
+        ), name
+        for (_s1, e1), (s2, _e2) in zip(served, served[1:]):
+            assert s2 >= e1, f"{name} served on two cores at {s2}"
+        gaps = [s2 - e1 for (_s1, e1), (s2, _e2) in zip(served, served[1:])]
+        gaps.append(served[0][0] + length - served[-1][1])
+        assert max(gaps) <= spec.latency_ns + 2 * DEFAULT_COALESCE_NS, name
+
+
+def keepable(cached, base, census, cpu):
+    """Whether the base core at ``cpu`` can keep its names: the cached
+    core holds its schedule, every base vCPU on it is in ``census`` with
+    its slot's reservation, and no vCPU on either core is split (so no
+    other core can claim one of them)."""
+    core = cached.table.cores[cpu]
+    old = base.table.cores.get(cpu)
+    if old is None or slots(core) != slots(old):
+        return False
+    for mine, theirs in zip(core.allocations, old.allocations):
+        spec = census.get(theirs.vcpu)
+        if spec is None or reservation(spec) != reservation(cached.vcpus[mine.vcpu]):
+            return False
+        if cached.table.is_split(mine.vcpu) or base.table.is_split(theirs.vcpu):
+            return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=rebind_cases(), peephole=st.booleans())
+@example(case=SPLIT_REBIND_CASE, peephole=False)
+def test_rebind_against_a_base_keeps_its_placement(case, peephole):
+    cores, pairs, base_pairs, base_is_hit, named = case
+    cache = TableCache(Planner(uniform(cores), peephole=peephole))
+    try:
+        cached = cache.plan(flatten_vcpus(vms("a", pairs)))
+        base_census = flatten_vcpus(vms("b", base_pairs))
+        if base_is_hit:
+            base = cache.plan(base_census)
+        else:
+            base = cache.planner.plan(base_census[:-1])
+    except FAILURES:
+        return
+    census = census_of(named)
+    hits = cache.stats.hits
+    result = cache.plan(census, base=base)
+    assert cache.stats.hits == hits + 1
+    assert_cached_plan_renamed(cached, result)
+    assert_guarantees(result)
+    specs = {vcpu.name: vcpu for vcpu in census}
+    for cpu, core in result.table.cores.items():
+        old = base.table.cores.get(cpu)
+        if keepable(cached, base, specs, cpu):
+            assert core is old
+        if old is not None and core.allocations == old.allocations:
+            assert core is old
+    # The same rebind without a base is today's rename.
+    plain = rebind_plan(cached, census)
+    assert_cached_plan_renamed(cached, plain)
+
+
+@pytest.mark.parametrize(
+    "case", [SPLIT_CASE[:2], CLUSTER_CASE, (3, [(1.0, 10), (0.5, 20), (0.4, 5)])]
+)
+def test_rebind_onto_its_own_census_returns_the_base_cores(case):
+    cores, pairs = case
+    census = flatten_vcpus(vms("vm", pairs))
+    plan = Planner(uniform(cores)).plan(census)
+    again = rebind_plan(plan, census, base=plan)
+    for cpu, core in plan.table.cores.items():
+        assert again.table.cores[cpu] is core
+    for name, task in plan.tasks.items():
+        assert again.tasks[name] is task
+    assert again.table.vcpu_names == plan.table.vcpu_names
+    assert again.table.home_cores == plan.table.home_cores

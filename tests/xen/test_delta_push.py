@@ -1,8 +1,9 @@
 """The delta table push: changed per-core columns only (zero-copy).
 
 Covers both ends of the 'TBLD' transport: the hypercall's validation
-and base-token protocol, and the daemon's eligibility gating plus the
-mismatch → full-push fallback.
+and base-token protocol, the daemon's eligibility gating plus the
+mismatch → full-push fallback, the reason each full push is counted
+under, and a table-cache hit that keeps the committed placement.
 """
 
 import struct
@@ -24,17 +25,26 @@ from repro.faults import FaultPlan
 from repro.schedulers import TableauScheduler
 from repro.topology import uniform, xeon_16core
 from repro.xen import PlannerDaemon, TableHypercall
+from repro.xen.daemon import (
+    FULL_DELTA_BOUNCED,
+    FULL_GEOMETRY,
+    FULL_METHOD,
+    FULL_NO_BASE,
+    FULL_OVER_HALF,
+    FULL_PUSH_REASONS,
+)
 
 
 def census(count, prefix="vm"):
     return [make_vm(f"{prefix}{i:02d}", 0.25, 20 * MS) for i in range(count)]
 
 
-def build_daemon(topo=None):
+def build_daemon(topo=None, **daemon_kwargs):
     topo = topo or uniform(4)
     sched = TableauScheduler(SystemTable(length_ns=MS, cores={}))
     hypercall = TableHypercall(sched)
-    return PlannerDaemon(topo, hypercall=hypercall), hypercall, sched
+    daemon = PlannerDaemon(topo, hypercall=hypercall, **daemon_kwargs)
+    return daemon, hypercall, sched
 
 
 def changed_cores(before, after):
@@ -318,3 +328,80 @@ class TestDeltaPlannerIntegration:
         assert len(payload) < len(full) // 4
         record = hypercall.push_table_delta(payload)
         assert record.delta
+
+
+class TestFullPushReasons:
+    """Each full push is counted under one reason, and the counts sum to
+    ``full_pushes``."""
+
+    @staticmethod
+    def reasons(daemon, **counts):
+        expected = dict.fromkeys(FULL_PUSH_REASONS, 0)
+        expected.update(counts)
+        assert daemon.full_push_reasons == expected
+        assert sum(daemon.full_push_reasons.values()) == daemon.full_pushes
+
+    def test_boot_push_has_no_base(self):
+        daemon, _, _ = build_daemon()
+        daemon.replan(census(4), "boot")
+        self.reasons(daemon, **{FULL_NO_BASE: 1})
+
+    def test_semi_partitioned_plan_is_a_method_push(self):
+        daemon, _, _ = build_daemon(uniform(2))
+        awkward = [make_vm(f"vm{i}", 0.6, 100 * MS) for i in range(3)]
+        daemon.replan(awkward[:2], "boot")
+        daemon.replan(awkward, "grow")
+        self.reasons(daemon, **{FULL_NO_BASE: 1, FULL_METHOD: 1})
+
+    def test_new_table_length_is_a_geometry_push(self):
+        daemon, _, _ = build_daemon()
+        daemon.replan(census(4), "boot")
+        daemon.planner = Planner(uniform(4), hyperperiod_ns=200 * MS)
+        daemon.replan(census(4), "retime")
+        self.reasons(daemon, **{FULL_NO_BASE: 1, FULL_GEOMETRY: 1})
+
+    def test_repack_of_most_cores_is_an_over_half_push(self):
+        daemon, _, _ = build_daemon()
+        daemon.replan(census(4), "boot")
+        daemon.replan([make_vm(f"big{i}", 0.6, 50 * MS) for i in range(4)], "swap")
+        self.reasons(daemon, **{FULL_NO_BASE: 1, FULL_OVER_HALF: 1})
+
+    def test_bounced_delta_is_counted_once(self):
+        daemon, hypercall, _ = build_daemon(xeon_16core())
+        vms = census(44)
+        daemon.replan(vms, "boot")
+        hypercall.push_system_table(daemon.current_plan.table)
+        daemon.replan(vms + [make_vm("vm44", 0.25, 20 * MS)], "create")
+        assert daemon.delta_fallbacks == 1
+        self.reasons(daemon, **{FULL_NO_BASE: 1, FULL_DELTA_BOUNCED: 1})
+
+
+class TestCacheHitKeepsPlacement:
+    """A table-cache hit rebound against the committed plan leaves that
+    plan's cores where they were, so the push is a small delta."""
+
+    def test_swapping_one_tenant_pushes_a_small_delta(self):
+        daemon, hypercall, _ = build_daemon(xeon_16core(), cache=True)
+        vms = census(44)
+        boot = daemon.replan(vms, "boot")
+        swapped = vms[:10] + [make_vm("new10", 0.25, 20 * MS)] + vms[11:]
+        result = daemon.replan(swapped, "swap")
+        assert daemon.cache.stats.hits == 1
+        record = daemon.history[-1].push
+        assert record.delta
+        changed = changed_cores(boot, result)
+        assert 1 <= len(changed) <= 2
+        for cpu, core in result.table.cores.items():
+            if cpu not in changed:
+                assert core is boot.table.cores[cpu]
+        staged = hypercall.staged_table
+        assert staged.vcpu_names == result.table.vcpu_names
+        assert staged.home_cores == result.table.home_cores
+        for cpu, core in result.table.cores.items():
+            assert staged.cores[cpu].allocations == core.allocations
+        assert serialize(staged) == serialize(result.table)
+        # And back: the next hit keeps this placement in turn.
+        daemon.replan(vms, "swap back")
+        assert daemon.cache.stats.hits == 2
+        assert daemon.delta_pushes == 2
+        assert daemon.full_push_reasons[FULL_NO_BASE] == daemon.full_pushes == 1

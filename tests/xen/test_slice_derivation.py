@@ -4,10 +4,11 @@ Counts :meth:`CoreTable.derive_slices` calls per core object (the one
 derivation; ``build_slices`` calls it, for the planner and the decoder
 alike): the decoder derives one slice table per distinct received
 schedule and none for a core block it accepted before, the dispatcher
-installs it without rebuilding, a delta push rebuilds only the cores it
-carries, and on the planner side a slice table is derived once per
-shared segments — cores of one shape and table-cache rebinds install
-it, deriving nothing.
+installs it without rebuilding, a delta push derives slices only for
+the schedules of the cores it carries that no earlier delta carried,
+and on the planner side a slice table is derived once per shared
+segments — cores of one shape and table-cache rebinds install it,
+deriving nothing.
 """
 
 from collections import Counter
@@ -43,10 +44,6 @@ def builds(monkeypatch):
 
     monkeypatch.setattr(CoreTable, "derive_slices", counting)
     return built
-
-
-def once_each(cores):
-    return Counter({id(core): 1 for core in cores})
 
 
 def hypercall_on_empty_table():
@@ -118,6 +115,7 @@ class TestFullPush:
 
 class TestDeltaPush:
     def test_builds_only_changed_cores_and_shares_the_rest(self, builds):
+        clear_decode_cache()
         hypercall = hypercall_on_empty_table()
         daemon = PlannerDaemon(xeon_16core(), hypercall=hypercall)
         vms = census(44)
@@ -134,13 +132,35 @@ class TestDeltaPush:
             if not core.same_schedule(boot.table.cores[cpu])
         }
         assert changed and changed != set(staged.cores)
-        assert Counter(map(id, builds)) == once_each(
-            staged.cores[cpu] for cpu in changed
+        # Changed cores of one name-free schedule share one slice table,
+        # derived once, on one of them; nothing else derives.
+        received = [staged.cores[cpu] for cpu in sorted(changed)]
+        schedules = {schedule(core) for core in received}
+        assert len({id(core.slices) for core in received}) == len(schedules)
+        assert derivations_per_slice_table(builds, received) == Counter(
+            dict.fromkeys({id(core.slices) for core in received}, 1)
         )
+        assert len(builds) == len(schedules)
         for cpu, core in staged.cores.items():
             if cpu not in changed:
                 assert core is base.cores[cpu]
                 assert core.slices is base_slices[cpu]
+        # The same delta again, on the same base: every schedule it
+        # carries was received before, so nothing is derived.
+        hypercall.push_system_table(boot.table)
+        again_base = hypercall.staged_table
+        builds.clear()
+        hypercall.push_system_table_delta(
+            grown.table, sorted(changed), hypercall.delta_generation
+        )
+        assert builds == []
+        again = hypercall.staged_table
+        for cpu, core in again.cores.items():
+            if cpu in changed:
+                assert core.slices is staged.cores[cpu].slices
+                assert core.allocations == staged.cores[cpu].allocations
+            else:
+                assert core is again_base.cores[cpu]
 
 
 def vcpus(prefix, utilization=0.25, latency_ms=20):
