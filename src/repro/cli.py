@@ -353,11 +353,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return 0
     rules = args.rules.split(",") if args.rules else None
     report = lint_paths(
-        args.paths,
-        rules=rules,
-        flow=args.flow,
-        cache_path=args.cache,
-        jobs=args.jobs,
+        args.paths, rules=rules, cache_path=args.cache, jobs=args.jobs
     )
     if args.graph:
         graph = report.callgraph
@@ -688,18 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list registered rules and exit",
     )
     lint.add_argument(
-        "--flow",
-        action="store_true",
-        default=True,
-        help="run the whole-program flow passes (default)",
-    )
-    lint.add_argument(
-        "--no-flow",
-        dest="flow",
-        action="store_false",
-        help="skip the whole-program flow passes (single-site rules only)",
-    )
-    lint.add_argument(
         "--graph",
         default=None,
         metavar="PATH",
@@ -710,15 +694,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         default=None,
         metavar="PATH",
-        help="incremental cache file: unchanged files skip parsing and "
-        "rule runs (full-rule-set runs only)",
+        help="incremental cache file: unchanged files skip parsing "
+        "(full-rule-set runs only)",
     )
     lint.add_argument(
         "--jobs",
         type=int,
         default=1,
         metavar="N",
-        help="parse and run single-site rules on N worker processes",
+        help="parse and summarize files on N worker processes",
     )
     lint.add_argument(
         "--list-suppressions",

@@ -61,7 +61,7 @@ from operator import le, lt, sub
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.table import CoreTable, Geometry, Segments, SystemTable
-from repro.errors import TableFormatError
+from repro.errors import TableDeltaMismatchError, TableFormatError
 
 MAGIC = b"TBLO"
 VERSION = 1
@@ -125,6 +125,14 @@ _SCHEDULES: Dict[ScheduleKey, Segments] = {}
 _DECODED_BYTES = 2 << 20
 #: The bytes both maps hold, counted as for ``_DECODED_BYTES``.
 _decoded_bytes = 0
+#: Slice entries a ``'TBLD'`` delta may have derived for one new
+#: schedule.  A delta carries no slice records, so nothing in its payload
+#: bounds ``ceil(length / shortest allocation)``: a 1 ns allocation on a
+#: 102.7 ms table is 10^8 entries.  Past this, the delta is bounced and
+#: the table goes in full, slice records included.  Planner tables stay
+#: far below it: the 10 us coalescing default caps a 102.7 ms core at
+#: 10,271 slices.
+DELTA_SLICE_LIMIT = 1 << 20
 
 
 def clear_decode_cache() -> None:
@@ -378,7 +386,9 @@ def bind_delta_core(
     name-free schedule under the names of its vCPUs: the segments an
     earlier delta or this push brought, and their slice table with them,
     or new ones, which ``schedules`` takes so the caller can
-    :func:`remember_schedules` them once the push passed.
+    :func:`remember_schedules` them once the push passed.  A new schedule
+    whose slice table would pass :data:`DELTA_SLICE_LIMIT` entries raises
+    :class:`TableDeltaMismatchError`, so the sender pushes in full.
     """
     order = list(dict.fromkeys(handles))
     if -1 in order:
@@ -389,7 +399,15 @@ def bind_delta_core(
     key = (length_ns, ends.tobytes(), ids.tobytes())
     segments = _SCHEDULES.get(key) or schedules.get(key)
     if segments is None:
-        segments = schedules[key] = Segments.from_columns(ends, ids)
+        segments = Segments.from_columns(ends, ids)
+        entries = -(-length_ns // (segments.min_alloc_ns or length_ns))
+        if entries > DELTA_SLICE_LIMIT:
+            raise TableDeltaMismatchError(
+                f"delta core {cpu} would derive {entries} slice entries, "
+                f"past the {DELTA_SLICE_LIMIT} a delta may; push the table "
+                f"in full"
+            )
+        schedules[key] = segments
     return CoreTable.bound(cpu, length_ns, segments, [names[h] for h in order])
 
 

@@ -1,12 +1,21 @@
 """repro.lint — repo-specific static analysis for the Tableau reproduction.
 
-An AST-based pass that enforces the invariants the runtime tests cannot
+A static pass that enforces the invariants the runtime tests cannot
 see until they break: determinism of everything feeding scheduling
 decisions, integer-nanosecond time flow, allocation-free ``@hotpath``
 functions, transactional error handling, and the import-layer diagram.
 Run it as ``tableau-repro lint src/repro`` (human output) or with
 ``--format=json`` for the CI artifact; suppress a finding with a
 ``# repro: allow[rule-id]`` comment plus a justification.
+
+Each file is parsed once and reduced to a summary
+(:mod:`repro.lint.flow.summary`); one engine
+(:mod:`repro.lint.flow.engine`) answers the ``det-*`` (but
+``det-unordered-iter``), ``hot-*``, ``time-*`` and ``lay-import``
+rules as zero-hop queries over each summary's sites, and the
+``flow-*`` rules as fixpoints over the project call graph.  The
+``err-*`` rules and ``det-unordered-iter`` are AST rules
+(:mod:`repro.lint.rules`) run on the same parsed tree.
 
 Rule families
 -------------
@@ -16,7 +25,8 @@ Rule families
                 iteration, no env branches)
 ``time-*``      integer-nanosecond flow over ``*_ns`` names
 ``hot-*``       allocation discipline inside ``@hotpath`` functions
-``err-*``       bare excepts, swallowed errors, registry rollback
+``err-*``       bare excepts, swallowed errors, registry rollback,
+                atomic durable writes
 ``lay-*``       import layering
 ``flow-*``      whole-program passes over the project call graph:
                 taint into deterministic scope, float escapes into

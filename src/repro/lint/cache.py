@@ -1,23 +1,18 @@
 """Content-hashed incremental cache for the lint driver.
 
 One JSON document maps each linted file to everything the driver would
-otherwise recompute by parsing it: the flow :class:`ModuleSummary`, the
-module's ``*_ns`` symbol contributions, its suppression comments, and
-the raw (pre-suppression) single-site findings.  Entries are keyed by
-the sha256 of the file's bytes, so a touched-but-identical file still
-hits and an edited file misses only for itself.
+otherwise recompute by parsing it: the flow :class:`ModuleSummary`
+(which also carries every site the zero-hop queries read), its
+suppression comments, and the raw (pre-suppression) findings of the
+AST rules.  Entries are keyed by the sha256 of the file's bytes, so a
+touched-but-identical file still hits and an edited file misses only
+for itself.  Nothing in an entry depends on another file: the engine's
+queries and passes, which do (a ``*_ns`` parameter declared float in
+one module exempts a keyword argument in another), run on every run
+from the summaries, so no file is opened or parsed on a warm run.
 
-Findings are additionally keyed by the *project symbol digest*: the
-single-site time-unit rules consult signatures from other modules, so
-an unchanged file's findings are only reusable while every ``*_ns``
-declaration in the project is unchanged too.  Summaries and symbol
-contributions have no such dependency and survive digest changes.
-
-The flow passes themselves are never cached — they are whole-program
-by definition — but on a warm run they start from cached summaries, so
-no file is opened or parsed at all.  The cache is only consulted on
-full-rule-set runs; ``--rules`` subsets bypass it entirely (their raw
-findings would poison later full runs).
+The cache is only consulted on full-rule-set runs; ``--rules`` subsets
+bypass it entirely (their raw findings would poison later full runs).
 
 Writes are atomic (temp file + ``os.replace``) and any unreadable or
 version-mismatched cache is discarded wholesale.
@@ -49,6 +44,8 @@ class LintCache:
         self.entries: Dict[str, dict] = entries or {}
         self.hits = 0
         self.misses = 0
+        #: An entry was stored or pruned since the load.
+        self.dirty = False
 
     @classmethod
     def load(cls, path: str) -> "LintCache":
@@ -81,14 +78,19 @@ class LintCache:
 
     def store(self, file_path: str, entry: dict) -> None:
         self.entries[file_path] = entry
+        self.dirty = True
 
     def prune(self, keep_paths) -> None:
         """Drop entries for files no longer part of the run."""
         keep = set(keep_paths)
         for stale in [p for p in self.entries if p not in keep]:
             del self.entries[stale]
+            self.dirty = True
 
     def save(self) -> None:
+        """Write the document (atomically), unless nothing changed."""
+        if not self.dirty:
+            return
         document = {
             "cache_version": CACHE_VERSION,
             "summary_version": SUMMARY_VERSION,

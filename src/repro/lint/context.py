@@ -1,10 +1,11 @@
-"""Per-module analysis context: source, AST, module name, suppressions.
+"""Per-module analysis context: AST, module name, suppressions.
 
-The driver parses each file once and hands every rule the same
-:class:`ModuleContext`.  The context also owns the suppression protocol:
-a violation is silenced by a ``# repro: allow[rule-id]`` comment either
-trailing any line of the offending statement or on a comment line
-directly above it.  Multiple ids may be listed, comma-separated::
+The driver parses each file once; the flow summary and every AST rule
+read the same :class:`ModuleContext`.  This module also owns the
+suppression protocol (:func:`allow_line`): a violation is silenced by a
+``# repro: allow[rule-id]`` comment either trailing any line of the
+offending statement or on a comment line directly above it.  Multiple
+ids may be listed, comma-separated::
 
     table = {c: t for c in cores}  # repro: allow[hot-comprehension]
 
@@ -19,10 +20,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.lint.symbols import ProjectSymbols
+from typing import Dict, Iterable, List, Optional, Set
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([^\]]*)\]")
 
@@ -58,6 +56,27 @@ def parse_suppression_comments(source: str) -> Dict[int, Set[str]]:
     return allowed
 
 
+def allow_line(
+    suppressions: Dict[int, Set[str]],
+    rule_ids: Iterable[str],
+    first: int,
+    last: int,
+) -> Optional[int]:
+    """The allow-comment line silencing any of ``rule_ids`` on a node.
+
+    The one suppression protocol: a comment on the line directly above
+    the node (``first - 1``) or trailing any physical line it spans
+    (``first..last``).  ``None`` when no allow covers it.
+    """
+    if not suppressions:
+        return None
+    for line in range(first - 1, last + 1):
+        ids = suppressions.get(line)
+        if ids and any(rule_id in ids for rule_id in rule_ids):
+            return line
+    return None
+
+
 def _collect_allow(text: str, number: int, allowed: Dict[int, Set[str]]) -> None:
     match = _ALLOW_RE.search(text)
     if match is None:
@@ -91,91 +110,20 @@ def module_name_for(path: str) -> str:
 
 @dataclass
 class ModuleContext:
-    """Everything a rule needs to analyse one module."""
+    """What an AST rule reads of one module: its tree and suppressions."""
 
     path: str
     module: str
-    source: str
     tree: ast.Module
-    lines: List[str] = field(default_factory=list)
     suppressions: Dict[int, Set[str]] = field(default_factory=dict)
-    type_checking_spans: List[Tuple[int, int]] = field(default_factory=list)
-    #: Project-wide ``*_ns`` signature table, installed by the driver.
-    symbols: Optional["ProjectSymbols"] = None
-    #: This module's interprocedural findings, installed by the driver
-    #: when the flow passes run (the ``flow-*`` registry rules adapt
-    #: them into ordinary findings).
-    flow_findings: List[object] = field(default_factory=list)
 
     @classmethod
     def from_source(
         cls, source: str, path: str, module: Optional[str] = None
     ) -> "ModuleContext":
-        tree = ast.parse(source, filename=path)
-        lines = source.splitlines()
-        ctx = cls(
+        return cls(
             path=path,
             module=module_name_for(path) if module is None else module,
-            source=source,
-            tree=tree,
-            lines=lines,
+            tree=ast.parse(source, filename=path),
             suppressions=parse_suppression_comments(source),
         )
-        ctx.type_checking_spans = _type_checking_spans(tree)
-        return ctx
-
-    @classmethod
-    def from_file(cls, path: str, module: Optional[str] = None) -> "ModuleContext":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_source(handle.read(), path, module)
-
-    # ------------------------------------------------------------------
-
-    def in_package(self, *prefixes: str) -> bool:
-        """True when this module lives under any of the dotted prefixes."""
-        for prefix in prefixes:
-            if self.module == prefix or self.module.startswith(prefix + "."):
-                return True
-        return False
-
-    def is_suppressed(self, rule_id: str, node: ast.AST) -> bool:
-        """True when an allow-comment covers ``node`` for ``rule_id``.
-
-        Checks the comment line directly above the node plus every
-        physical line the node spans (so trailing comments work on
-        multi-line statements).
-        """
-        if not self.suppressions:
-            return False
-        first = getattr(node, "lineno", 0)
-        last = getattr(node, "end_lineno", first) or first
-        for line in range(first - 1, last + 1):
-            if rule_id in self.suppressions.get(line, ()):
-                return True
-        return False
-
-    def in_type_checking(self, node: ast.AST) -> bool:
-        """True when ``node`` sits inside an ``if TYPE_CHECKING:`` block."""
-        line = getattr(node, "lineno", 0)
-        for start, end in self.type_checking_spans:
-            if start <= line <= end:
-                return True
-        return False
-
-
-def _type_checking_spans(tree: ast.Module) -> List[Tuple[int, int]]:
-    spans: List[Tuple[int, int]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.If) and _mentions_type_checking(node.test):
-            end = node.end_lineno if node.end_lineno is not None else node.lineno
-            spans.append((node.lineno, end))
-    return spans
-
-
-def _mentions_type_checking(test: ast.expr) -> bool:
-    for node in ast.walk(test):
-        if isinstance(node, ast.Name) and node.id == "TYPE_CHECKING":
-            return True
-        if isinstance(node, ast.Attribute) and node.attr == "TYPE_CHECKING":
-            return True
-    return False

@@ -1,25 +1,22 @@
-"""The lint driver: discover files, run rules, collect findings.
+"""The lint driver: discover files, extract summaries, run the engine.
 
-A full run has four stages, all deterministic (files sorted, fixpoints
-order-independent):
+A run has three stages, all deterministic (files sorted, fixpoints
+order-independent), shared by :func:`lint_paths` and
+:func:`lint_source`:
 
 1. **Extract** — every file is parsed once and reduced to its
-   per-module products: the suppression map, its ``*_ns`` symbol
-   contributions, and the flow :class:`ModuleSummary`.  With a cache
-   attached (``--cache``), files whose content hash matches skip this
-   stage entirely; with ``jobs > 1`` the misses are parsed on a process
+   cacheable products: the suppression map, the flow
+   :class:`ModuleSummary`, and the raw (pre-suppression) findings of
+   the AST rules, which run on that same tree.  With a cache attached
+   (``--cache``), files whose content hash matches skip this stage
+   entirely; with ``jobs > 1`` the misses are extracted on a process
    pool.
-2. **Single-site rules** — every registered per-module rule runs over
-   each parsed module, producing *raw* (pre-suppression) findings.
-   Cached raw findings are reused while the project's ``*_ns`` symbol
-   digest is unchanged (the time-unit rules read other modules'
-   signatures, so a signature edit anywhere invalidates findings — but
-   not summaries — everywhere).
-3. **Flow passes** — the whole-program call graph is built from the
-   summaries and the interprocedural passes run
-   (:mod:`repro.lint.flow`); they are never cached, but on a warm run
-   they start from cached summaries so no file is reopened.
-4. **Assemble** — raw findings filter through the allow-comments; which
+2. **Engine** — the zero-hop queries read each summary's own sites,
+   and the whole-program passes build the call graph from the
+   summaries and run their fixpoints (:mod:`repro.lint.flow.engine`).
+   Neither is cached; on a warm run both start from cached summaries,
+   so no file is reopened.
+3. **Assemble** — findings filter through the allow-comments; which
    allow silenced what is recorded, yielding the suppression inventory
    (``--list-suppressions``) and, on full runs, ``lint-stale-allow``
    findings for allows that silenced nothing.
@@ -27,23 +24,24 @@ order-independent):
 
 from __future__ import annotations
 
-import ast
-import hashlib
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.cache import LintCache, content_hash
-from repro.lint.context import ModuleContext
+from repro.lint.context import ModuleContext, allow_line
 from repro.lint.findings import Finding, LintReport, SuppressionSite
 from repro.lint.flow.callgraph import build_call_graph
-from repro.lint.flow.engine import FlowAnalysis, FlowFinding
-from repro.lint.flow.rules import FLOW_RULE_IDS
+from repro.lint.flow.engine import (
+    FLOW_RULE_IDS,
+    RULES,
+    FloatDeclarations,
+    FlowAnalysis,
+    site_findings,
+)
 from repro.lint.flow.summary import ModuleSummary, summarize_module
 from repro.lint.registry import Rule, iter_rules
-from repro.lint.symbols import ProjectSymbols, build_symbols
 
 #: Directory names never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".mypy_cache", ".ruff_cache"}
@@ -64,180 +62,81 @@ def discover_files(paths: Sequence[str]) -> List[str]:
     return sorted(dict.fromkeys(found))
 
 
-# ----------------------------------------------------------------------
-# Per-file record
-# ----------------------------------------------------------------------
-
-
 @dataclass
 class _FileRecord:
     path: str
-    digest: str
+    digest: str = ""
     module: str = ""
-    source: str = ""
     summary: Optional[ModuleSummary] = None
     suppressions: Dict[int, Set[str]] = dc_field(default_factory=dict)
-    contrib: Dict[str, list] = dc_field(
-        default_factory=lambda: {"ns_params": [], "float_names": []}
-    )
-    #: Raw single-site findings (pre-suppression); ``None`` = not yet
-    #: computed for the current symbol digest.
-    raw: Optional[List[Finding]] = None
-    ctx: Optional[ModuleContext] = None
+    #: Raw AST-rule findings (pre-suppression).
+    raw: List[Finding] = dc_field(default_factory=list)
     parse_error: Optional[dict] = None
-    cached_entry: Optional[dict] = None
+
+    def extract(
+        self, source: str, rules: Sequence[Rule], module: Optional[str] = None
+    ) -> None:
+        """Parse once; summarize and run the AST rules on that tree."""
+        try:
+            ctx = ModuleContext.from_source(source, self.path, module)
+        except SyntaxError as error:
+            self.parse_error = {
+                "line": error.lineno or 0,
+                "col": (error.offset or 1) - 1,
+                "message": f"file does not parse: {error.msg}",
+            }
+            return
+        self.module = ctx.module
+        self.suppressions = ctx.suppressions
+        self.summary = summarize_module(
+            ctx.module, self.path, ctx.tree, ctx.suppressions
+        )
+        for rule in rules:
+            if rule.applies_to(ctx):
+                self.raw.extend(rule.check(ctx))
+
+    def to_entry(self) -> dict:
+        """The cacheable products (the cache entry and pool result)."""
+        entry: dict = {"hash": self.digest, "module": self.module}
+        if self.parse_error is not None:
+            entry["parse_error"] = self.parse_error
+            return entry
+        assert self.summary is not None
+        entry["summary"] = self.summary.to_dict()
+        entry["suppressions"] = {
+            str(line): sorted(ids) for line, ids in self.suppressions.items()
+        }
+        entry["findings"] = [
+            [f.rule_id, f.line, f.col, f.message, f.end_line] for f in self.raw
+        ]
+        return entry
+
+    def hydrate(self, entry: dict) -> None:
+        self.module = entry["module"]
+        if entry.get("parse_error") is not None:
+            self.parse_error = entry["parse_error"]
+            return
+        self.summary = ModuleSummary.from_dict(entry["summary"])
+        self.suppressions = {
+            int(line): set(ids) for line, ids in entry["suppressions"].items()
+        }
+        self.raw = [
+            Finding(rule_id, self.path, line, col, message, end_line)
+            for rule_id, line, col, message, end_line in entry["findings"]
+        ]
 
 
-def _symbols_contrib(module: str, tree: ast.Module) -> Dict[str, list]:
-    scratch = ProjectSymbols()
-    scratch.add_module(module, tree)
-    return {
-        "ns_params": sorted(
-            [callee, param, category]
-            for (callee, param), category in scratch.ns_params.items()
-        ),
-        "float_names": sorted(scratch.float_names.get(module, ())),
-    }
-
-
-def _merge_symbols(records: Sequence[_FileRecord]) -> ProjectSymbols:
-    symbols = ProjectSymbols()
-    for record in records:
-        if record.parse_error is not None:
-            continue
-        for callee, param, category in record.contrib["ns_params"]:
-            symbols.record(callee, param, category)
-        if record.module and record.contrib["float_names"]:
-            symbols.float_names.setdefault(record.module, set()).update(
-                record.contrib["float_names"]
-            )
-    return symbols
-
-
-def _symbols_digest(symbols: ProjectSymbols) -> str:
-    payload = json.dumps(
-        {
-            "ns": sorted(
-                [callee, param, category]
-                for (callee, param), category in symbols.ns_params.items()
-            ),
-            "float": {
-                module: sorted(names)
-                for module, names in symbols.float_names.items()
-                if names
-            },
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _finding_to_dict(finding: Finding) -> dict:
-    return {
-        "rule_id": finding.rule_id,
-        "line": finding.line,
-        "col": finding.col,
-        "message": finding.message,
-        "end_line": finding.end_line,
-    }
-
-
-def _finding_from_dict(data: dict, path: str) -> Finding:
-    return Finding(
-        rule_id=data["rule_id"],
-        path=path,
-        line=data["line"],
-        col=data["col"],
-        message=data["message"],
-        end_line=data.get("end_line", data["line"]),
-    )
-
-
-def _parse_error_dict(error: SyntaxError) -> dict:
-    return {
-        "line": error.lineno or 0,
-        "col": (error.offset or 1) - 1,
-        "message": f"file does not parse: {error.msg}",
-    }
-
-
-def _extract_into(record: _FileRecord, source: str) -> None:
-    try:
-        ctx = ModuleContext.from_source(source, record.path)
-    except SyntaxError as error:
-        record.parse_error = _parse_error_dict(error)
-        return
-    record.ctx = ctx
-    record.module = ctx.module
-    record.suppressions = ctx.suppressions
-    record.summary = summarize_module(
-        ctx.module, record.path, ctx.tree, ctx.suppressions
-    )
-    record.contrib = _symbols_contrib(ctx.module, ctx.tree)
-
-
-def _hydrate_from_cache(record: _FileRecord, entry: dict) -> None:
-    record.cached_entry = entry
-    record.module = entry.get("module", "")
-    if entry.get("parse_error") is not None:
-        record.parse_error = entry["parse_error"]
-        return
-    record.summary = ModuleSummary.from_dict(entry["summary"])
-    record.suppressions = {
-        int(line): set(ids) for line, ids in entry["suppressions"].items()
-    }
-    record.contrib = entry["contrib"]
-
-
-def _run_site_rules(
-    ctx: ModuleContext, rules: Sequence[Rule], symbols: ProjectSymbols
-) -> List[Finding]:
-    ctx.symbols = symbols
-    raw: List[Finding] = []
-    for rule in rules:
-        if rule.applies_to(ctx):
-            raw.extend(rule.check(ctx))
-    return raw
-
-
-# ----------------------------------------------------------------------
-# Process-pool workers (module level for pickling)
-# ----------------------------------------------------------------------
-
-
-def _extract_worker(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    record = _FileRecord(path=path, digest="")
-    _extract_into(record, source)
-    if record.parse_error is not None:
-        return {"path": path, "parse_error": record.parse_error, "module": ""}
-    return {
-        "path": path,
-        "parse_error": None,
-        "module": record.module,
-        "summary": record.summary.to_dict(),
-        "suppressions": {
-            str(line): sorted(ids) for line, ids in record.suppressions.items()
-        },
-        "contrib": record.contrib,
-    }
-
-
-_WORKER_SYMBOLS: Optional[ProjectSymbols] = None
-
-
-def _init_rules_worker(symbols: ProjectSymbols) -> None:
-    global _WORKER_SYMBOLS
-    _WORKER_SYMBOLS = symbols
-
-
-def _rules_worker(args: Tuple[str, Tuple[str, ...]]) -> Tuple[str, list]:
+def _extract_worker(args: Tuple[str, Tuple[str, ...]]) -> dict:
+    """Process-pool worker (module level for pickling)."""
     path, rule_ids = args
-    ctx = ModuleContext.from_file(path)
-    symbols = _WORKER_SYMBOLS or build_symbols([(ctx.module, ctx.tree)])
-    raw = _run_site_rules(ctx, list(iter_rules(rule_ids)), symbols)
-    return path, [_finding_to_dict(f) for f in raw]
+    record = _FileRecord(path=path)
+    with open(path, "r", encoding="utf-8") as handle:
+        record.extract(handle.read(), list(iter_rules(rule_ids)))
+    return record.to_entry()
+
+
+def _ast_rules(selected: Sequence[Rule]) -> List[Rule]:
+    return [rule for rule in selected if rule.id not in RULES]
 
 
 # ----------------------------------------------------------------------
@@ -249,127 +148,99 @@ def lint_paths(
     paths: Sequence[str],
     rules: Optional[Iterable[str]] = None,
     *,
-    flow: bool = True,
     cache_path: Optional[str] = None,
     jobs: int = 1,
 ) -> LintReport:
     """Lint every Python file under ``paths`` with the selected rules.
 
-    ``flow`` gates the whole-program passes (on by default; a ``rules``
-    subset naming no ``flow-*`` id skips them regardless).
     ``cache_path`` attaches the incremental cache — full-rule-set runs
-    only.  ``jobs > 1`` parses cache misses and runs the single-site
-    rules on a process pool.
+    only.  ``jobs > 1`` extracts cache misses on a process pool.
     """
-    report = LintReport()
     files = discover_files(paths)
     selected = list(iter_rules(rules))
-    selected_ids = {rule.id for rule in selected}
-    site_rules = [
-        rule
-        for rule in selected
-        if rule.id not in FLOW_RULE_IDS and rule.id != "lint-stale-allow"
-    ]
-    site_rule_ids = tuple(sorted(rule.id for rule in site_rules))
-    run_flow = flow and bool(selected_ids & FLOW_RULE_IDS)
+    ast_rules = _ast_rules(selected)
     full_run = rules is None
-    cache = (
-        LintCache.load(cache_path) if (cache_path and full_run) else None
-    )
+    cache = LintCache.load(cache_path) if (cache_path and full_run) else None
 
-    # Stage 1: extract (cache hits hydrate, misses parse).
     records: List[_FileRecord] = []
-    misses: List[_FileRecord] = []
+    misses: List[Tuple[_FileRecord, bytes]] = []
     for path in files:
         with open(path, "rb") as handle:
             data = handle.read()
         record = _FileRecord(path=path, digest=content_hash(data))
         entry = cache.lookup(path, record.digest) if cache is not None else None
         if entry is not None:
-            _hydrate_from_cache(record, entry)
+            record.hydrate(entry)
         else:
-            record.source = data.decode("utf-8")
-            misses.append(record)
+            misses.append((record, data))
         records.append(record)
     if jobs > 1 and len(misses) > 1:
-        by_path = {record.path: record for record in misses}
+        rule_ids = tuple(rule.id for rule in ast_rules)
+        tasks = [(record.path, rule_ids) for record, _ in misses]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(
-                _extract_worker, sorted(by_path), chunksize=4
-            ):
-                record = by_path[result["path"]]
-                if result["parse_error"] is not None:
-                    record.parse_error = result["parse_error"]
-                    continue
-                record.module = result["module"]
-                record.summary = ModuleSummary.from_dict(result["summary"])
-                record.suppressions = {
-                    int(line): set(ids)
-                    for line, ids in result["suppressions"].items()
-                }
-                record.contrib = result["contrib"]
+            results = pool.map(_extract_worker, tasks, chunksize=4)
+            for (record, _), result in zip(misses, results):
+                record.hydrate(result)
     else:
-        for record in misses:
-            _extract_into(record, record.source)
-    for record in records:
-        record.source = ""  # parsed (or failed); free the memory
+        for record, data in misses:
+            record.extract(data.decode("utf-8"), ast_rules)
 
-    report.files_checked = sum(
-        1 for record in records if record.parse_error is None
-    )
+    report = _run(records, selected, detect_stale=full_run)
+    if cache is not None:
+        for record, _ in misses:
+            cache.store(record.path, record.to_entry())
+        cache.prune(files)
+        report.cache_hits = cache.hits
+        report.cache_misses = cache.misses
+        cache.save()
+    return report
 
-    # Stage 2: single-site rules (cached raw findings where valid).
-    symbols = _merge_symbols(records)
-    digest_ns = _symbols_digest(symbols)
-    need_rules: List[_FileRecord] = []
-    for record in records:
-        if record.parse_error is not None:
-            continue
-        if full_run and record.cached_entry is not None:
-            cached = record.cached_entry.get("findings", {}).get(digest_ns)
-            if cached is not None:
-                record.raw = [
-                    _finding_from_dict(item, record.path) for item in cached
-                ]
-                continue
-        need_rules.append(record)
-    if jobs > 1 and len(need_rules) > 1:
-        by_path = {record.path: record for record in need_rules}
-        tasks = [(path, site_rule_ids) for path in sorted(by_path)]
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_rules_worker,
-            initargs=(symbols,),
-        ) as pool:
-            for path, raw_dicts in pool.map(_rules_worker, tasks, chunksize=4):
-                by_path[path].raw = [
-                    _finding_from_dict(item, path) for item in raw_dicts
-                ]
-    else:
-        for record in need_rules:
-            ctx = record.ctx or ModuleContext.from_file(record.path)
-            record.raw = _run_site_rules(ctx, site_rules, symbols)
 
-    # Stage 3: flow passes over the summaries.
-    flow_results: Dict[str, List[FlowFinding]] = {}
+def lint_source(
+    source: str,
+    path: str = "<string>",
+    module: Optional[str] = None,
+    rules: Optional[Iterable[str]] = None,
+) -> LintReport:
+    """Lint one in-memory module (the test harness entry point).
+
+    ``module`` overrides the dotted module name inferred from ``path``
+    so fixtures can exercise package-scoped rules without living inside
+    the real tree.  The stages are :func:`lint_paths`' over this one
+    module (cross-module laundering needs :func:`lint_paths` over a
+    package tree), except that no allow is reported stale.
+    """
+    selected = list(iter_rules(rules))
+    record = _FileRecord(path=path)
+    record.extract(source, _ast_rules(selected), module)
+    return _run([record], selected, detect_stale=False)
+
+
+def _run(
+    records: Sequence[_FileRecord], selected: Sequence[Rule], detect_stale: bool
+) -> LintReport:
+    """The engine and assembly stages over extracted records."""
+    report = LintReport()
+    selected_ids = {rule.id for rule in selected}
+    summaries = [r.summary for r in records if r.summary is not None]
+    decls = FloatDeclarations.collect(summaries)
+    flow_results: Dict[str, List[Finding]] = {}
     flow_owner: Dict[str, str] = {}
-    if run_flow:
-        summaries: Dict[str, ModuleSummary] = {}
+    if selected_ids & FLOW_RULE_IDS:
+        by_module: Dict[str, ModuleSummary] = {}
         for record in records:
             if record.summary is None or not record.module:
                 continue
-            if record.module in summaries:
+            if record.module in by_module:
                 continue  # first sorted path wins on module collisions
-            summaries[record.module] = record.summary
+            by_module[record.module] = record.summary
             flow_owner[record.module] = record.path
-        graph = build_call_graph(summaries)
-        analysis = FlowAnalysis(graph, symbols).run()
-        flow_results = analysis.findings
+        graph = build_call_graph(by_module)
+        flow_results = FlowAnalysis(graph, decls).run().findings
         report.flow_functions = len(graph.nodes)
         report.flow_edges = graph.edge_count()
         report.callgraph = graph
 
-    # Stage 4: suppression filtering + inventory + staleness.
     used: Dict[str, Dict[int, Set[str]]] = {}
     for record in records:
         if record.parse_error is not None:
@@ -384,23 +255,14 @@ def lint_paths(
                 )
             )
             continue
-        candidates = list(record.raw or [])
+        report.files_checked += 1
+        assert record.summary is not None
+        candidates = record.raw + site_findings(record.summary, decls)
         if flow_owner.get(record.module) == record.path:
-            for flow_finding in flow_results.get(record.module, []):
-                if flow_finding.rule_id not in selected_ids:
-                    continue
-                candidates.append(
-                    Finding(
-                        rule_id=flow_finding.rule_id,
-                        path=record.path,
-                        line=flow_finding.line,
-                        col=flow_finding.col,
-                        message=flow_finding.message,
-                        end_line=flow_finding.line,
-                        trace=tuple(flow_finding.trace),
-                    )
-                )
+            candidates.extend(flow_results.get(record.module, ()))
         for finding in candidates:
+            if finding.rule_id not in selected_ids:
+                continue
             match_line = _match_suppression(record.suppressions, finding)
             if match_line is not None:
                 report.suppressed += 1
@@ -410,7 +272,6 @@ def lint_paths(
             else:
                 report.findings.append(finding)
 
-    detect_stale = full_run and flow
     for record in records:
         if record.parse_error is not None:
             continue
@@ -445,29 +306,6 @@ def lint_paths(
                 else:
                     report.findings.append(finding)
 
-    # Persist the cache for the next run.
-    if cache is not None:
-        for record in records:
-            entry: dict = {"hash": record.digest, "module": record.module}
-            if record.parse_error is not None:
-                entry["parse_error"] = record.parse_error
-            else:
-                assert record.summary is not None and record.raw is not None
-                entry["summary"] = record.summary.to_dict()
-                entry["suppressions"] = {
-                    str(line): sorted(ids)
-                    for line, ids in record.suppressions.items()
-                }
-                entry["contrib"] = record.contrib
-                entry["findings"] = {
-                    digest_ns: [_finding_to_dict(f) for f in record.raw]
-                }
-            cache.store(record.path, entry)
-        cache.prune(files)
-        report.cache_hits = cache.hits
-        report.cache_misses = cache.misses
-        cache.save()
-
     report.findings = report.sorted_findings()
     return report
 
@@ -475,69 +313,10 @@ def lint_paths(
 def _match_suppression(
     suppressions: Dict[int, Set[str]], finding: Finding
 ) -> Optional[int]:
-    """The allow-comment line silencing ``finding``, or ``None``.
-
-    Same protocol as :meth:`ModuleContext.is_suppressed`: the line
-    above the statement or any physical line it spans.
-    """
-    if not suppressions:
-        return None
-    first = finding.line
-    last = finding.end_line or first
-    for line in range(first - 1, last + 1):
-        if finding.rule_id in suppressions.get(line, ()):
-            return line
-    return None
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    module: Optional[str] = None,
-    rules: Optional[Iterable[str]] = None,
-    symbols: Optional[ProjectSymbols] = None,
-    flow: bool = True,
-) -> LintReport:
-    """Lint one in-memory module (the test harness entry point).
-
-    ``module`` overrides the dotted module name inferred from ``path``
-    so fixtures can exercise package-scoped rules without living inside
-    the real tree.  With ``flow`` enabled the interprocedural passes run
-    over this single module (cross-module laundering needs
-    :func:`lint_paths` over a package tree).
-    """
-    report = LintReport()
-    ctx = ModuleContext.from_source(source, path, module)
-    report.files_checked = 1
-    if symbols is None:
-        symbols = build_symbols([(ctx.module, ctx.tree)])
-    if flow and ctx.module:
-        summary = summarize_module(ctx.module, path, ctx.tree, ctx.suppressions)
-        graph = build_call_graph({ctx.module: summary})
-        analysis = FlowAnalysis(graph, symbols).run()
-        ctx.flow_findings = list(analysis.findings.get(ctx.module, []))
-        report.flow_functions = len(graph.nodes)
-        report.flow_edges = graph.edge_count()
-    _check_module(ctx, list(iter_rules(rules)), symbols, report)
-    report.findings = report.sorted_findings()
-    return report
-
-
-def _check_module(
-    ctx: ModuleContext,
-    rules: Sequence[Rule],
-    symbols: ProjectSymbols,
-    report: LintReport,
-) -> None:
-    ctx.symbols = symbols
-    for rule in rules:
-        if not rule.applies_to(ctx):
-            continue
-        for finding in rule.check(ctx):
-            anchor = ast.Constant(value=None)
-            anchor.lineno = finding.line  # type: ignore[attr-defined]
-            anchor.end_lineno = finding.end_line or finding.line  # type: ignore[attr-defined]
-            if ctx.is_suppressed(finding.rule_id, anchor):
-                report.suppressed += 1
-            else:
-                report.findings.append(finding)
+    """The allow-comment line silencing ``finding``, or ``None``."""
+    return allow_line(
+        suppressions,
+        (finding.rule_id,),
+        finding.line,
+        finding.end_line or finding.line,
+    )

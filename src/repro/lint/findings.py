@@ -36,7 +36,7 @@ class Finding:
     end_line: int = 0
     #: Interprocedural evidence: one human-readable hop per element,
     #: source to sink, produced by the ``flow-*`` whole-program passes
-    #: (empty for single-site findings).
+    #: (empty for zero-hop and AST-rule findings).
     trace: Tuple[str, ...] = ()
 
     def location(self) -> str:

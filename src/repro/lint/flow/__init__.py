@@ -1,12 +1,18 @@
-"""repro.lint.flow — whole-program flow analysis for the repo linter.
+"""repro.lint.flow — module summaries and the engine that queries them.
 
-The per-function rules of :mod:`repro.lint.rules` see one body at a
-time, so an invariant violation laundered through a call — a wall-clock
-read returned by a helper, a float reaching nanosecond arithmetic two
-frames up, an allocating function *called from* ``@hotpath`` code, an
-effect the journal never covered — is invisible to them.  This package
-closes that gap with four interprocedural passes over a project-wide
-call graph:
+Every module is reduced to a serialisable
+:class:`~repro.lint.flow.summary.ModuleSummary` (cached by content hash
+— see :mod:`repro.lint.cache`), and every rule that a summary can
+express is answered from summaries alone.  Zero-hop queries read one
+module's own sites: wall-clock, RNG and environment reads
+(``det-*``), allocation inside ``@hotpath`` bodies (``hot-*``), float
+and unit-suffixed values landing in ``*_ns`` names (``time-*``), and
+imports against the layer diagram (``lay-import``).  A value laundered
+through a call — a wall-clock read returned by a helper, a float
+reaching nanosecond arithmetic two frames up, an allocating function
+*called from* ``@hotpath`` code, an effect the journal never covered —
+is invisible to them, so four interprocedural passes run over a
+project-wide call graph:
 
 ``flow-taint-*``
     Wall-clock, unseeded-RNG, and environment values tracked across
@@ -22,19 +28,18 @@ call graph:
     allocation discipline; ``@coldpath`` cuts traversal at deliberate
     slow paths.
 ``flow-unjournaled-effect`` / ``flow-effect-order``
-    The WAL protocol of the crash-consistent control plane (PR 8)
-    encoded as checkable rules over journal appends, crashpoints, and
+    The WAL protocol of the crash-consistent control plane encoded as
+    checkable rules over journal appends, crashpoints, and
     state mutations in ``repro.service`` / ``repro.core.plancache``.
 
-The pipeline: :mod:`.summary` reduces each module to a serialisable
-:class:`~repro.lint.flow.summary.ModuleSummary` (cached by content hash
-— see :mod:`repro.lint.cache`); :mod:`.callgraph` resolves call sites
-to a project :class:`~repro.lint.flow.callgraph.CallGraph` (methods via
+The pipeline: :mod:`.summary` extracts the summaries; :mod:`.callgraph`
+resolves call sites to a project
+:class:`~repro.lint.flow.callgraph.CallGraph` (methods via
 class-hierarchy analysis, ``functools.partial`` edges where the target
-is nameable); :mod:`.engine` runs the fixpoints and materialises
-per-module findings; :mod:`.rules` adapts those findings into the
-ordinary rule registry so selection, suppression, and reporting work
-exactly as for single-site rules.
+is nameable); :mod:`.engine` answers the zero-hop queries and runs the
+fixpoints; :mod:`.rules` registers every engine rule from the engine's
+one table, so selection, suppression, and reporting work exactly as
+for the AST rules.
 """
 
 from repro.lint.flow.callgraph import CallGraph, build_call_graph

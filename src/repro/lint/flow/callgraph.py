@@ -20,8 +20,8 @@ conservative*:
 Anything else (``callback()`` through a stored function value, calls
 into the stdlib) resolves to nothing and simply bounds the analysis.
 Unresolved *taint-relevant* facts are still caught at the source by the
-single-site ``det-*`` rules, so the conservatism loses transitive
-evidence, not soundness of the local layer.
+zero-hop ``det-*`` queries, so the conservatism loses transitive
+evidence, not soundness of the direct rules.
 
 Node ids are ``<module>:<qualname>`` (``repro.sim.machine:Machine._do_resched``);
 :func:`CallGraph.pretty` renders them dotted for human traces.

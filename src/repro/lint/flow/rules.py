@@ -1,136 +1,42 @@
-"""Registry adapters for the whole-program flow findings.
+"""Registry entries for every rule the lint engine answers.
 
-The flow engine (:mod:`repro.lint.flow.engine`) produces
-:class:`~repro.lint.flow.engine.FlowFinding` records per module; these
-rule classes exist so the interprocedural passes participate in the
-ordinary rule machinery — ``--list-rules`` documents them, ``--rules``
-selects them, and ``# repro: allow[flow-...]`` comments suppress them
-at the reported line like any single-site rule.
-
-For single-module runs (:func:`repro.lint.driver.lint_source`, the
-fixture harness) the driver attaches the module's flow findings to
-``ctx.flow_findings`` and ``check`` converts them; for project runs the
-driver converts engine output directly (cached modules have no AST
-context to adapt through) — same records, same filtering, one producer.
+The engine (:mod:`repro.lint.flow.engine`) computes the zero-hop and
+whole-program findings from module summaries; registering its ids here,
+from its one :data:`~repro.lint.flow.engine.RULES` table, is what lets
+``--list-rules`` document them, ``--rules`` select them, and
+``# repro: allow[...]`` comments suppress them like any AST rule.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from repro.lint.flow.engine import FLOW_RULE_IDS, RULES
+from repro.lint.registry import Rule, add_rule
 
-from repro.lint.context import ModuleContext
-from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
-
-
-class _FlowAdapterRule(Rule):
-    family = "flow"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for flow_finding in getattr(ctx, "flow_findings", ()) or ():
-            if flow_finding.rule_id != self.id:
-                continue
-            yield Finding(
-                rule_id=self.id,
-                path=ctx.path,
-                line=flow_finding.line,
-                col=flow_finding.col,
-                message=flow_finding.message,
-                end_line=flow_finding.line,
-                trace=flow_finding.trace,
-            )
+__all__ = ["FLOW_RULE_IDS"]
 
 
-@register
-class FlowTaintWallclock(_FlowAdapterRule):
-    id = "flow-taint-wallclock"
-    description = (
-        "wall-clock reading reaches deterministic scope through calls "
-        "(reported with the full source-to-sink trace)"
-    )
+class TableRule(Rule):
+    """A rule registered from a table; it has no AST check of its own."""
+
+    def __init__(self, rule_id: str, family: str, description: str) -> None:
+        self.id = rule_id
+        self.family = family
+        self.description = description
 
 
-@register
-class FlowTaintRng(_FlowAdapterRule):
-    id = "flow-taint-rng"
-    description = (
-        "unseeded RNG draw reaches deterministic scope through calls"
-    )
+for _rule_id, (_family, _description) in RULES.items():
+    add_rule(TableRule(_rule_id, _family, _description))
 
-
-@register
-class FlowTaintEnv(_FlowAdapterRule):
-    id = "flow-taint-env"
-    description = (
-        "environment probe value reaches deterministic scope through calls"
-    )
-
-
-@register
-class FlowUnitEscape(_FlowAdapterRule):
-    id = "flow-unit-escape"
-    description = (
-        "float-returning call result lands in an integer-nanosecond name"
-    )
-
-
-@register
-class FlowHotTransitive(_FlowAdapterRule):
-    id = "flow-hot-transitive"
-    description = (
-        "per-call allocation in a function reachable from a @hotpath root "
-        "(mark deliberate slow paths @coldpath)"
-    )
-
-
-@register
-class FlowUnjournaledEffect(_FlowAdapterRule):
-    id = "flow-unjournaled-effect"
-    description = (
-        "service state mutated before the covering WAL append on a commit "
-        "path"
-    )
-
-
-@register
-class FlowEffectOrder(_FlowAdapterRule):
-    id = "flow-effect-order"
-    description = (
-        "journal protocol order violated (mutation after commit marker, or "
-        "crashpoint before WAL append)"
-    )
-
-
-@register
-class StaleAllow(Rule):
-    """Driver-synthesised: allow-comments that silence nothing.
-
-    ``check`` yields nothing — staleness is a whole-run fact (an allow
-    is live if *any* rule's finding matched it), so the driver computes
-    it after every other rule ran, and only on full runs (a ``--rules``
-    subset would mark everything else's suppressions stale).
-    """
-
-    id = "lint-stale-allow"
-    family = "lint"
-    description = (
+#: Driver-synthesised: an allow-comment that silences nothing.
+#: Staleness is a whole-run fact (an allow is live if *any* rule's
+#: finding matched it), so the driver computes it after every other
+#: rule ran, and only on full runs (a ``--rules`` subset would mark
+#: everything else's suppressions stale).
+add_rule(
+    TableRule(
+        "lint-stale-allow",
+        "lint",
         "# repro: allow[...] comment no longer suppresses any finding "
-        "(full runs only)"
+        "(full runs only)",
     )
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        return ()
-
-
-#: Ids whose findings come from the flow engine, not per-module checks.
-FLOW_RULE_IDS = frozenset(
-    {
-        "flow-taint-wallclock",
-        "flow-taint-rng",
-        "flow-taint-env",
-        "flow-unit-escape",
-        "flow-hot-transitive",
-        "flow-unjournaled-effect",
-        "flow-effect-order",
-    }
 )

@@ -1,13 +1,12 @@
-"""Shared syntactic pattern tables for the single-site and flow rules.
+"""Shared pattern tables for the lint engine and its AST rules.
 
-The determinism rules (:mod:`repro.lint.rules.determinism`) and the
-whole-program taint pass (:mod:`repro.lint.flow`) must agree on what
-counts as a wall-clock read, an unseeded RNG draw, or an environment
-probe — otherwise a value the local rules ban could launder through a
-helper the flow pass does not recognise.  This module is the single
-source of truth; it deliberately imports nothing from the rest of the
-lint package so both layers (and the cached summary extractor) can use
-it without cycles.
+The summary extractor (:mod:`repro.lint.flow.summary`) records every
+site these tables recognise, and both the zero-hop queries and the
+whole-program passes of :mod:`repro.lint.flow.engine` read them, so a
+value a direct rule bans cannot launder through a helper the transitive
+pass does not recognise.  This module is the single source of truth; it
+deliberately imports nothing from the rest of the lint package so every
+layer (and the cached summary extractor) can use it without cycles.
 """
 
 from __future__ import annotations
@@ -79,6 +78,201 @@ ENV_SUFFIXES = (
     "platform.node",
     "socket.gethostname",
 )
+
+#: Identifier endings that denote a non-nanosecond time unit.
+OTHER_UNIT_SUFFIXES = (
+    "_ms",
+    "_us",
+    "_s",
+    "_sec",
+    "_secs",
+    "_seconds",
+    "_minutes",
+    "_hz",
+)
+
+FLOAT_DECLARED = "float"
+INT_DECLARED = "int"
+
+#: Annotation spellings that mean "integer nanoseconds on the clock".
+_INT_ANNOTATIONS = {"int", "Nanoseconds"}
+
+#: The import layering diagram, as (importing package, forbidden import
+#: prefix, why).  Imports under ``if TYPE_CHECKING:`` are exempt::
+#:
+#:     errors, topology          (leaves: import nothing from repro)
+#:         ^
+#:     core (planner, tables)    never imports sim/schedulers/xen/health
+#:         ^
+#:     sim (engine, machine)     never imports xen or schedulers (runtime)
+#:         ^
+#:     schedulers                never imports xen
+#:         ^
+#:     xen (daemon, toolstack)   control plane; may use core + schedulers
+#:         ^
+#:     faults / health / metrics / experiments
+#:         ^
+#:     campaign                  orchestration; nothing below imports it
+FORBIDDEN_EDGES = (
+    (
+        "repro.schedulers",
+        "repro.xen",
+        "schedulers are hypervisor-agnostic policies; the xen control "
+        "plane plugs into them, never the reverse",
+    ),
+    (
+        "repro.core",
+        "repro.sim",
+        "the planner is a pure table compiler; it must not depend on "
+        "the runtime simulator",
+    ),
+    (
+        "repro.core",
+        "repro.schedulers",
+        "the planner emits tables; dispatch policy lives above it",
+    ),
+    (
+        "repro.core",
+        "repro.xen",
+        "the planner must stay usable without the control plane",
+    ),
+    (
+        "repro.core",
+        "repro.health",
+        "core is a leaf layer; supervision sits on top",
+    ),
+    (
+        "repro.sim",
+        "repro.xen",
+        "the machine model knows schedulers only through the Scheduler "
+        "interface; the xen layer is above it",
+    ),
+    (
+        "repro.sim",
+        "repro.schedulers",
+        "the machine calls policy through repro.schedulers.base's "
+        "interface at runtime; only annotations may name concrete "
+        "schedulers (use `if TYPE_CHECKING:`)",
+    ),
+    (
+        "repro.health",
+        "repro.core.planner",
+        "health talks to the planner only via PlannerDaemon so every "
+        "recovery replan stays transactional and audited",
+    ),
+    (
+        "repro.faults",
+        "repro.health",
+        "fault injection is consulted by the health layer, never the "
+        "reverse",
+    ),
+    (
+        "repro.core",
+        "repro.campaign",
+        "the campaign engine orchestrates experiments from above; the "
+        "deterministic core must stay independent of it",
+    ),
+    (
+        "repro.sim",
+        "repro.campaign",
+        "the machine model must not know about campaign orchestration",
+    ),
+    (
+        "repro.schedulers",
+        "repro.campaign",
+        "dispatch policy must not depend on the experiment harness",
+    ),
+    (
+        "repro.xen",
+        "repro.campaign",
+        "the control plane runs under campaigns, never the reverse",
+    ),
+    (
+        "repro.experiments",
+        "repro.campaign",
+        "experiment drivers are the campaign engine's building blocks; "
+        "importing campaign back would create a cycle",
+    ),
+    (
+        "repro.core",
+        "repro.service",
+        "the planner must stay usable without the service control plane",
+    ),
+    (
+        "repro.sim",
+        "repro.service",
+        "the machine model must not know about the tenant-facing "
+        "service layer",
+    ),
+    (
+        "repro.schedulers",
+        "repro.service",
+        "dispatch policy is below the control plane",
+    ),
+    (
+        "repro.xen",
+        "repro.service",
+        "the service wraps PlannerDaemon from above; the daemon must "
+        "not depend back on it",
+    ),
+    (
+        "repro.faults",
+        "repro.service",
+        "fault plans are injected into the service, never imported by "
+        "the fault layer",
+    ),
+    (
+        "repro.health",
+        "repro.service",
+        "machine-level supervision and the tenant service are sibling "
+        "consumers of the daemon",
+    ),
+    (
+        "repro.experiments",
+        "repro.service",
+        "experiment drivers measure machines; the service scenario is "
+        "driven from the campaign layer above",
+    ),
+)
+
+#: Names that, imported from ``repro.core`` into health code, smuggle a
+#: direct planner dependency past the module-level edge check
+#: (``repro.health`` reaches the planner only through
+#: :class:`repro.xen.daemon.PlannerDaemon`, so every recovery replan
+#: stays transactional).
+PLANNER_NAMES = {"Planner", "TableCache"}
+
+
+def in_package(module: str, prefixes: Iterable[str]) -> bool:
+    """True when ``module`` is one of ``prefixes`` or inside one."""
+    return any(module == p or module.startswith(p + ".") for p in prefixes)
+
+
+def is_ns_name(name: Optional[str]) -> bool:
+    """A nanosecond-valued identifier; ``*_per_ns`` rates (1/ns) are not."""
+    if not name:
+        return False
+    lowered = name.lower()
+    return lowered.endswith("_ns") and not lowered.endswith("_per_ns")
+
+
+def annotation_category(annotation: Optional[ast.expr]) -> Optional[str]:
+    """Classify an annotation as float-intent, int-intent, or unknown."""
+    if annotation is None:
+        return None
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)  # string annotations (``"float"``)
+    if "float" in names:
+        return FLOAT_DECLARED
+    if names & _INT_ANNOTATIONS:
+        return INT_DECLARED
+    return None
 
 
 def dotted_path(node: ast.expr) -> str:

@@ -1,11 +1,13 @@
 """Rule base class and the global rule registry.
 
-A rule is a small object with a stable ``id``, a one-line
-``description``, an optional package ``scope``, and a ``check`` method
-yielding :class:`~repro.lint.findings.Finding` objects for one module.
-Rules self-register at import time via the :func:`register` decorator;
-the driver iterates :func:`iter_rules` so adding a rule is a one-file
-change (define it, import the module from ``repro.lint.rules``).
+A rule is a small object with a stable ``id``, a ``family``, and a
+one-line ``description``.  Most rules are answered by the flow engine
+from module summaries and register from its table
+(:mod:`repro.lint.flow.rules`); the rest are AST rules with an optional
+package ``scope`` and a ``check`` method yielding
+:class:`~repro.lint.findings.Finding` objects for one parsed module,
+registered at import time by the :func:`register` class decorator.
+The driver iterates :func:`iter_rules` to select either kind.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Type
 
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
+from repro.lint.patterns import in_package
 
 
 class Rule:
@@ -24,10 +27,11 @@ class Rule:
         id: Stable kebab-case identifier used in reports and in
             ``# repro: allow[...]`` suppression comments.
         family: Rule family (``determinism``, ``time-units``,
-            ``hot-path``, ``error-handling``, ``layering``).
+            ``hot-path``, ``error-handling``, ``layering``, ``flow``,
+            ``lint``).
         description: One-line summary shown by ``lint --list-rules``.
-        scope: Dotted package prefixes the rule applies to; empty means
-            every linted module.
+        scope: Dotted package prefixes an AST rule applies to; empty
+            means every linted module.
     """
 
     id: str = ""
@@ -36,12 +40,11 @@ class Rule:
     scope: tuple = ()
 
     def applies_to(self, ctx: ModuleContext) -> bool:
-        if not self.scope:
-            return True
-        return ctx.in_package(*self.scope)
+        return not self.scope or in_package(ctx.module, self.scope)
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        raise NotImplementedError
+        """AST rules override this; engine-answered rules yield nothing."""
+        return ()
 
     # Convenience for subclasses -----------------------------------------
 
@@ -60,14 +63,19 @@ class Rule:
 _REGISTRY: Dict[str, Rule] = {}
 
 
-def register(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator: instantiate and add a rule to the registry."""
-    rule = cls()
+def add_rule(rule: Rule) -> Rule:
+    """Add one rule instance to the registry."""
     if not rule.id:
-        raise ValueError(f"rule {cls.__name__} has no id")
+        raise ValueError(f"rule {type(rule).__name__} has no id")
     if rule.id in _REGISTRY:
         raise ValueError(f"duplicate rule id {rule.id!r}")
     _REGISTRY[rule.id] = rule
+    return rule
+
+
+def register(cls: Type[Rule]) -> Type[Rule]:
+    """Class decorator: instantiate and add a rule to the registry."""
+    add_rule(cls())
     return cls
 
 

@@ -1,4 +1,4 @@
-"""Determinism rules (``det-*``).
+"""Determinism AST rule (``det-unordered-iter``).
 
 The reproduction's headline property is bit-identical same-seed traces
 (fingerprint ``eb99ea934a2278f6``).  Everything that can silently break
@@ -6,30 +6,22 @@ that — global RNG state, wall-clock reads, hash-order iteration, and
 environment-dependent branches — is banned from the packages that feed
 scheduling decisions: ``repro.sim``, ``repro.schedulers``,
 ``repro.core``, ``repro.faults``, and ``repro.service`` (whose report
-is byte-compared across runs in CI).
+is byte-compared across runs in CI).  The lint engine answers the
+first three from module summaries (``det-unseeded-rng``,
+``det-wallclock``, ``det-env-branch``); hash-order iteration tracks
+local set bindings per scope, which a summary does not record, so it
+stays an AST rule here.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Iterable, Iterator, List, Optional, Set
 
 from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
+from repro.lint.patterns import DETERMINISM_SCOPE
 from repro.lint.registry import Rule, register
-
-from repro.lint.patterns import (
-    DETERMINISM_SCOPE,
-    ENV_SUFFIXES as _ENV_SUFFIXES,
-    NUMPY_SEEDED as _NUMPY_SEEDED,
-    SEEDED_CONSTRUCTORS as _SEEDED_CONSTRUCTORS,
-    WALLCLOCK_NAMES as _WALLCLOCK_NAMES,
-    WALLCLOCK_SUFFIXES as _WALLCLOCK_SUFFIXES,
-    dotted_path,
-    matches_suffix as _matches_suffix,
-)
-
-__all__ = ["DETERMINISM_SCOPE", "dotted_path"]
 
 
 def _walk_scope(body: List[ast.stmt]) -> Iterator[ast.AST]:
@@ -41,121 +33,6 @@ def _walk_scope(body: List[ast.stmt]) -> Iterator[ast.AST]:
             continue
         yield node
         stack.extend(reversed(list(ast.iter_child_nodes(node))))
-
-
-@register
-class UnseededRngRule(Rule):
-    id = "det-unseeded-rng"
-    family = "determinism"
-    description = (
-        "Scheduling code must draw randomness from an explicitly seeded "
-        "random.Random (or numpy Generator), never the global RNG."
-    )
-    scope = DETERMINISM_SCOPE
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "random":
-                bad = [
-                    alias.name
-                    for alias in node.names
-                    if alias.name not in _SEEDED_CONSTRUCTORS
-                ]
-                if bad:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "importing global-RNG function(s) "
-                        f"{', '.join(sorted(bad))} from random; construct a "
-                        "seeded random.Random(seed) instead",
-                    )
-            elif isinstance(node, ast.Call):
-                path = dotted_path(node.func)
-                if not path:
-                    continue
-                parts = path.split(".")
-                if (
-                    parts[0] == "random"
-                    and len(parts) == 2
-                    and parts[1] not in _SEEDED_CONSTRUCTORS
-                ):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"call to global RNG random.{parts[1]}(); scheduling "
-                        "decisions must use a seeded random.Random instance",
-                    )
-                elif (
-                    len(parts) >= 3
-                    and parts[-2] == "random"
-                    and parts[0] in ("np", "numpy")
-                    and parts[-1] not in _NUMPY_SEEDED
-                ):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"call to numpy global RNG {path}(); use "
-                        "numpy.random.default_rng(seed)",
-                    )
-
-
-@register
-class WallClockRule(Rule):
-    id = "det-wallclock"
-    family = "determinism"
-    description = (
-        "Scheduling code runs on the simulated clock; wall-clock reads "
-        "(time.time, perf_counter, datetime.now, ...) are forbidden."
-    )
-    scope = DETERMINISM_SCOPE
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "time":
-                bad = [
-                    alias.name
-                    for alias in node.names
-                    if alias.name in _WALLCLOCK_NAMES
-                ]
-                if bad:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"importing wall-clock function(s) {', '.join(sorted(bad))} "
-                        "from time into scheduling code",
-                    )
-            elif isinstance(node, ast.Call):
-                path = dotted_path(node.func)
-                if path and _matches_suffix(path, _WALLCLOCK_SUFFIXES):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"wall-clock read {path}(); simulated components must "
-                        "take time from SimEngine.now",
-                    )
-
-
-@register
-class EnvBranchRule(Rule):
-    id = "det-env-branch"
-    family = "determinism"
-    description = (
-        "Scheduling code must not branch on the process environment "
-        "(os.environ, os.cpu_count, platform, hostname)."
-    )
-    scope = DETERMINISM_SCOPE
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Attribute):
-                path = dotted_path(node)
-                if path and _matches_suffix(path, _ENV_SUFFIXES):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"environment-dependent value {path} in scheduling "
-                        "code; behaviour must not vary across hosts",
-                    )
 
 
 @register

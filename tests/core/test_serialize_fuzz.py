@@ -12,16 +12,18 @@ with the cache warm and cold too.
 
 import importlib
 import struct
+import time
 from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MS, Planner, make_vm
 from repro.core.serialize import (
     _DECODED,
     _SCHEDULES,
+    DELTA_SLICE_LIMIT,
     clear_decode_cache,
     deserialize,
     deserialize_delta,
@@ -211,29 +213,6 @@ def delta_verdict(base_payload, payload):
     )
 
 
-#: Slice entries past which a mutated delta is not pushed: the receiver
-#: derives each changed core's slice table (length over the shortest
-#: allocation), which no byte of the payload bounds.  A 1 ns allocation
-#: on a 102.7 ms table is 10^8 entries, gigabytes for the test process;
-#: that unbounded derivation is a known defect (ROADMAP item 4).
-SLICE_ENTRY_LIMIT = 1 << 20
-
-
-def unbounded_derivation(payload):
-    """Whether pushing ``payload`` would derive a slice table of more
-    than ``SLICE_ENTRY_LIMIT`` entries on some changed core."""
-    try:
-        length_ns, _names, _token, columns = deserialize_delta(payload)
-    except TableFormatError:
-        return False
-    for ends, handles in columns.values():
-        starts = [0, *ends[:-1]]
-        lengths = [e - s for s, e, h in zip(starts, ends, handles) if h >= 0]
-        if lengths and -(-length_ns // min(lengths)) > SLICE_ENTRY_LIMIT:
-            return True
-    return False
-
-
 def warm_and_cold_delta(case, payload):
     """The verdicts on ``payload`` after the clean delta was pushed, and
     with the cache cleared."""
@@ -258,6 +237,70 @@ def names_end(payload):
     return offset
 
 
+def with_short_allocation(payload, span_ns):
+    """``payload`` with its first core's first allocation cut to
+    ``span_ns``; the segment after it takes the rest."""
+    data = bytearray(payload)
+    at = names_end(payload)
+    _cpu, count = struct.unpack_from("<II", data, at)
+    ends, handles = at + 8, at + 8 + 8 * count
+    for i in range(count - 1):
+        if struct.unpack_from("<q", data, handles + 8 * i)[0] >= 0:
+            start = struct.unpack_from("<q", data, ends + 8 * (i - 1))[0] if i else 0
+            struct.pack_into("<q", data, ends + 8 * i, start + span_ns)
+            return bytes(data)
+    raise AssertionError("no allocation to cut")
+
+
+class TestDeltaSliceBound:
+    """A delta carries no slice records, so a new schedule may not make
+    the receiver derive more than ``DELTA_SLICE_LIMIT`` slice entries;
+    the same table still goes through in full, slice records and all."""
+
+    def test_one_ns_allocation_is_bounced_before_staging(self):
+        base_payload, clean = delta_cases()[0]
+        hypercall = TableHypercall(TableauScheduler(SystemTable(length_ns=MS, cores={})))
+        hypercall.push_table(base_payload)
+        staged, generation = hypercall.staged_table, hypercall.delta_generation
+        held = cache_state()
+        payload = with_short_allocation(clean, 1)
+        # A 102.7 ms table in 1 ns slices: ~10^8 entries if derived.
+        assert deserialize_delta(payload)[0] == 102_702_600
+        start = time.perf_counter()
+        with pytest.raises(TableDeltaMismatchError, match="slice entries"):
+            hypercall.push_table_delta(payload)
+        assert time.perf_counter() - start < 0.5
+        assert hypercall.staged_table is staged
+        assert hypercall.delta_generation == generation
+        assert cache_state() == held
+
+    def test_a_table_past_the_limit_goes_in_full(self):
+        length_ns = DELTA_SLICE_LIMIT + 1
+
+        def table(end):
+            return SystemTable(
+                length_ns=length_ns,
+                cores={
+                    cpu: CoreTable(
+                        cpu=cpu,
+                        length_ns=length_ns,
+                        allocations=[Allocation(0, end, f"vm{cpu}.vcpu0")],
+                    )
+                    for cpu in (0, 1)
+                },
+            )
+
+        hypercall = TableHypercall(TableauScheduler(SystemTable(length_ns=MS, cores={})))
+        hypercall.push_system_table(table(length_ns // 2))
+        changed = table(1)
+        with pytest.raises(TableDeltaMismatchError, match="slice entries"):
+            hypercall.push_system_table_delta(
+                changed, [0, 1], hypercall.delta_generation
+            )
+        assert not hypercall.push_system_table(changed).delta
+        assert len(hypercall.staged_table.cores[1].slices) == 2 * length_ns
+
+
 class TestDeltaWarmCacheAgreesWithCold:
     """Seeded mutations of real 'TBLD' payloads, pushed on their base:
     warm and cold decode caches reach the same verdict, and a rejection
@@ -273,7 +316,6 @@ class TestDeltaWarmCacheAgreesWithCold:
         base_payload, clean = delta_cases()[case]
         payload = bytearray(clean)
         payload[position % len(payload)] = value
-        assume(not unbounded_derivation(payload))
         warm, cold = warm_and_cold_delta(delta_cases()[case], bytes(payload))
         assert warm == cold
 
@@ -291,7 +333,6 @@ class TestDeltaWarmCacheAgreesWithCold:
         columns = names_end(clean)
         at = len(clean) - 8 * (1 + word % ((len(clean) - columns) // 8))
         struct.pack_into("<q", payload, at, value)
-        assume(not unbounded_derivation(payload))
         warm, cold = warm_and_cold_delta(delta_cases()[case], bytes(payload))
         assert warm == cold
 

@@ -65,6 +65,12 @@ class TestHotRules:
         source = _MARKED + "def f(g, args):\n    return g(*args)\n"
         assert rule_ids(lint_source(source)) == ["hot-star-args"]
 
+    def test_star_assignment_target_not_flagged(self):
+        # Starred unpacking in an assignment target packs no call
+        # arguments; only calls and signatures are hot-star-args sites.
+        source = _MARKED + "def f(xs):\n    a, *rest = xs\n    return a\n"
+        assert lint_source(source).findings == []
+
     def test_dotted_decorator_recognised(self):
         source = (
             "import repro.hotpath\n"
