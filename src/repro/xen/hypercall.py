@@ -181,8 +181,9 @@ class TableHypercall:
         (:func:`~repro.core.serialize.bind_delta_core`): one an earlier
         delta carried shares its segments and slice table, so only a new
         schedule is built and has its slice table derived.  A delta whose base
-        token does not name the current push generation — or whose
-        geometry disagrees with the base — is rejected with
+        token does not name the current push generation, whose geometry
+        disagrees with the base, or whose new schedule would derive more
+        than ``DELTA_SLICE_LIMIT`` slice entries is rejected with
         :class:`TableDeltaMismatchError` *before* anything is staged;
         the daemon then falls back to a full push.
 
