@@ -10,7 +10,7 @@ import pytest
 
 from conftest import publish
 
-from repro.core import MS, Planner, make_vm
+from repro.core import MS, Planner, edfcore, make_vm
 from repro.experiments import LATENCY_GOALS_MS
 from repro.topology import xeon_48core
 
@@ -34,14 +34,19 @@ def test_fig3_generation_time(benchmark, latency_ms):
 
 
 def test_fig3_full_curves(benchmark):
-    """Regenerate the full Fig. 3 series (all curves, all VM counts)."""
-    planner = Planner(TOPOLOGY)
+    """Regenerate the full Fig. 3 series (all curves, all VM counts).
+
+    Every point plans cold: a fresh planner, and the process-wide shape
+    cache cleared, so each row times table generation, not a lookup of
+    a shape an earlier test planned.
+    """
 
     def sweep():
         rows = []
         for latency_ms in LATENCY_GOALS_MS:
             for count in VM_COUNTS:
-                result = planner.plan(_vms(count, latency_ms))
+                edfcore.clear_shape_cache()
+                result = Planner(TOPOLOGY).plan(_vms(count, latency_ms))
                 rows.append(
                     (latency_ms, count, result.stats.generation_seconds)
                 )

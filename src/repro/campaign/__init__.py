@@ -2,10 +2,8 @@
 
 ``repro.campaign`` turns the paper's scheduler x density x seed x
 fault-preset evaluation grid into shards executed on a process pool,
-backed by the content-addressed on-disk plan cache
-(:class:`repro.core.plancache.PlanStore`) and a resumable JSONL run
-log.  Parallel, serial, and resumed runs produce byte-identical
-deterministic aggregates.
+with a resumable JSONL run log.  Parallel, serial, and resumed runs
+produce byte-identical deterministic aggregates.
 
 This package sits *above* the simulation stack: it may import
 ``repro.core`` / ``repro.sim`` / ``repro.experiments``, but nothing in

@@ -105,7 +105,6 @@ def load_run_log(path: Union[str, Path]) -> Dict[str, Dict[str, object]]:
 
 def _run_serial(
     pending: List[ShardSpec],
-    cache_dir: Optional[str],
     log: Optional[TextIO],
 ) -> Tuple[Dict[str, Dict[str, object]], List[str], int]:
     """The workers<=1 path: same executor, same records, no pool."""
@@ -113,7 +112,7 @@ def _run_serial(
     failures: List[str] = []
     for spec in pending:
         try:
-            record = run_shard(spec, cache_dir)
+            record = run_shard(spec)
         except Exception as error:  # noqa: BLE001 - shard isolation
             record = _failure_record(
                 spec, "failed", f"{type(error).__name__}: {error}"
@@ -126,7 +125,6 @@ def _run_serial(
 
 def _run_parallel(
     pending: List[ShardSpec],
-    cache_dir: Optional[str],
     log: Optional[TextIO],
     workers: int,
     shard_timeout_s: Optional[float],
@@ -178,7 +176,7 @@ def _run_parallel(
                 else None
             )
             futures = [
-                (spec, pool.submit(run_shard, spec, cache_dir))
+                (spec, pool.submit(run_shard, spec))
                 for spec in queue
             ]
             expired = False
@@ -272,7 +270,6 @@ def _run_parallel(
 def run_campaign(
     matrix: CampaignMatrix,
     workers: int = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
     log_path: Optional[Union[str, Path]] = None,
     resume: bool = False,
     shard_timeout_s: Optional[float] = None,
@@ -283,9 +280,6 @@ def run_campaign(
         matrix: The declarative experiment grid.
         workers: Process-pool width; ``<=1`` runs in-process (the
             reference serial path — identical records by construction).
-        cache_dir: Root of the shared on-disk :class:`PlanStore`; plans
-            generated by any shard are reused by every later shard and
-            every later run.
         log_path: JSONL run log; records stream here as shards finish.
         resume: Skip shards that already have an ``ok`` record in
             ``log_path`` (new records are appended).
@@ -294,7 +288,6 @@ def run_campaign(
     """
     started = time.perf_counter()
     shards = matrix.expand()
-    cache = str(cache_dir) if cache_dir is not None else None
 
     completed: Dict[str, Dict[str, object]] = {}
     if resume and log_path is not None:
@@ -326,10 +319,10 @@ def run_campaign(
         log = open(log_file, "a", encoding="utf-8")
     try:
         if workers <= 1:
-            results, failures, retried = _run_serial(pending, cache, log)
+            results, failures, retried = _run_serial(pending, log)
         else:
             results, failures, retried = _run_parallel(
-                pending, cache, log, workers, shard_timeout_s
+                pending, log, workers, shard_timeout_s
             )
     finally:
         if log is not None:

@@ -4,10 +4,8 @@ A :class:`ShardSpec` is one cell of a campaign matrix, reduced to plain
 picklable data — no machines, no plans, no closures — so a
 ``ProcessPoolExecutor`` worker (or a remote runner) can reconstruct and
 execute the cell from the spec alone.  :func:`run_shard` is that
-executor: it plans (through the shared on-disk
-:class:`~repro.core.plancache.PlanStore` when a cache directory is
-given), builds the scenario, simulates, and aggregates, timing each of
-the four phases.
+executor: it plans, builds the scenario, simulates, and aggregates,
+timing each of the four phases.
 
 The returned record keeps deterministic simulation output (``metrics``)
 strictly separate from environment-dependent observability (``timings``,
@@ -19,9 +17,8 @@ byte.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.core import PlanStore
 from repro.metrics import PhaseTimings, summarize_ns
 
 #: Probe kinds a shard can run: the Fig. 5 and Fig. 6 drivers, the
@@ -69,22 +66,20 @@ class ShardSpec:
         return asdict(self)
 
 
-def run_shard(
-    spec: ShardSpec, cache_dir: Optional[str] = None
-) -> Dict[str, object]:
+def run_shard(spec: ShardSpec) -> Dict[str, object]:
     """Execute one shard and return its result record.
 
     Module-level (not a method) so the process pool pickles it by
-    reference; everything it needs travels in ``spec`` and
-    ``cache_dir``.  Raises on failure — the campaign runner converts
-    exceptions and worker crashes into failure records.
+    reference; everything it needs travels in ``spec``.  Raises on
+    failure — the campaign runner converts exceptions and worker
+    crashes into failure records.
     """
     # Imports here keep worker start-up lean and avoid import cycles
     # (experiments -> campaign would otherwise be circular).
     from repro.campaign.matrix import resolve_topology
 
     if spec.probe == "service":
-        return _run_service_shard(spec, cache_dir)
+        return _run_service_shard(spec)
     if spec.probe == "crash-recovery":
         return _run_crash_recovery_shard(spec)
 
@@ -97,12 +92,9 @@ def run_shard(
 
     timings = PhaseTimings()
     topo = resolve_topology(spec.topology)
-    store = PlanStore(cache_dir) if cache_dir else None
 
     with timings.phase("plan"):
-        plan = plan_for(
-            topo, spec.num_vms, spec.capped, store=store, latency_ns=latency_ns
-        )
+        plan = plan_for(topo, spec.num_vms, spec.capped, latency_ns=latency_ns)
 
     faults = (
         runtime_preset(spec.preset, seed=spec.seed)
@@ -186,10 +178,7 @@ def run_shard(
         "spec": spec.as_dict(),
         "metrics": metrics,
         "timings": timings.as_dict(),
-        "plan_cache": {
-            "hit": plan.stats.plan_cache_hit,
-            "store": store.stats.as_dict() if store is not None else None,
-        },
+        "plan_cache": {"hit": plan.stats.plan_cache_hit},
     }
     return record
 
@@ -199,18 +188,14 @@ def run_shard(
 _NS_PER_MS = 1_000_000
 
 
-def _run_service_shard(
-    spec: ShardSpec, cache_dir: Optional[str]
-) -> Dict[str, object]:
+def _run_service_shard(spec: ShardSpec) -> Dict[str, object]:
     """One scheduler-as-a-service cell: churn stream → service report.
 
     ``num_vms`` is the churn generator's target population, ``seed``
     its stream seed, ``duration_s`` the simulated service lifetime.
     The deterministic ``metrics`` are flattened from the service report
     (integer-ns nearest-rank percentiles); the full report rides along
-    under ``metrics["service"]``.  The on-disk plan store only warms
-    the daemon's table cache — simulated latencies come from the
-    deterministic model, so cache temperature never shows in metrics.
+    under ``metrics["service"]``.
     """
     from repro.campaign.matrix import resolve_topology
     from repro.metrics import service_report
@@ -218,7 +203,6 @@ def _run_service_shard(
 
     timings = PhaseTimings()
     topo = resolve_topology(spec.topology)
-    store = PlanStore(cache_dir) if cache_dir else None
 
     with timings.phase("build"):
         churn = ChurnConfig(
@@ -235,7 +219,6 @@ def _run_service_shard(
             churn=churn,
             config=config,
             scheduler=spec.scheduler,
-            store=store,
         )
 
     with timings.phase("aggregate"):
@@ -270,10 +253,7 @@ def _run_service_shard(
         "spec": spec.as_dict(),
         "metrics": metrics,
         "timings": timings.as_dict(),
-        "plan_cache": {
-            "hit": False,
-            "store": store.stats.as_dict() if store is not None else None,
-        },
+        "plan_cache": {"hit": False},
     }
 
 
@@ -285,10 +265,8 @@ def _run_crash_recovery_shard(spec: ShardSpec) -> Dict[str, object]:
     """One crash-recovery cell: N seeded crash/recover cycles, each
     verified byte-for-byte against the uninterrupted run.
 
-    Every cycle gets its own temp directory (journal *and* plan store)
-    — never the campaign's shared cache dir, because store warmth
-    changes whether the ``plancache.write.pre-rename`` crashpoint
-    fires.  Cycle *i* arms a single-shot :class:`CrashPlan` at the
+    Every cycle gets its own temp directory for its journal.  Cycle
+    *i* arms a single-shot :class:`CrashPlan` at the
     crashpoint ``SERVICE_CRASHPOINTS[(seed + i) % len]``, call index
     ``i + 1``, recovers through the journal, resumes, and compares
     the final :func:`service_report_json` against the shard's own
@@ -318,8 +296,8 @@ def _run_crash_recovery_shard(spec: ShardSpec) -> Dict[str, object]:
         config = ServiceConfig(batch_window_ms=spec.batch_window_ms)
 
     with timings.phase("plan"):
-        # The uninterrupted reference (no journal, no store: neither
-        # shows in the report).
+        # The uninterrupted reference (no journal: it does not show in
+        # the report).
         reference = run_service(
             topo,
             duration_s=spec.duration_s,
@@ -339,22 +317,15 @@ def _run_crash_recovery_shard(spec: ShardSpec) -> Dict[str, object]:
             ]
             plan = CrashPlan.at(point, call=i + 1, seed=spec.seed)
             with tempfile.TemporaryDirectory() as tmp:
-                root = Path(tmp)
-                store_root = root / "store"
                 outcome = crash_recover_resume(
                     topo,
                     spec.duration_s,
-                    root / "service.journal",
+                    Path(tmp) / "service.journal",
                     plan,
                     churn=churn,
                     config=config,
                     scheduler=spec.scheduler,
-                    store_factory=lambda: PlanStore(store_root),
                 )
-                # Post-mortem fsck over the surviving store tree: a
-                # crashed writer's debris must be gone (the restart
-                # sweep) and every remaining entry must validate.
-                fsck = PlanStore(store_root, sweep=False).fsck().as_dict()
                 recovered_json = service_report_json(
                     service_report(outcome.service)
                 )
@@ -368,18 +339,12 @@ def _run_crash_recovery_shard(spec: ShardSpec) -> Dict[str, object]:
                     "crashes": outcome.crash_count,
                     "healed_bytes": outcome.healed_bytes,
                     "identical": identical,
-                    "fsck": fsck,
                 }
             )
             if not identical:
                 raise ReproError(
                     f"{spec.shard_id}: recovered report diverged from "
                     f"uninterrupted run (crashpoint {point}@{i + 1})"
-                )
-            if not fsck["clean"]:
-                raise ReproError(
-                    f"{spec.shard_id}: plan store not clean after "
-                    f"recovery (crashpoint {point}@{i + 1}): {fsck}"
                 )
 
     with timings.phase("aggregate"):
@@ -398,5 +363,5 @@ def _run_crash_recovery_shard(spec: ShardSpec) -> Dict[str, object]:
         "spec": spec.as_dict(),
         "metrics": metrics,
         "timings": timings.as_dict(),
-        "plan_cache": {"hit": False, "store": None},
+        "plan_cache": {"hit": False},
     }

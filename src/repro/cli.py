@@ -13,9 +13,7 @@ Subcommands map onto the paper's artifacts:
 * ``serve``     — run the scheduler-as-a-service control plane under
   streaming tenant churn and report service-level metrics; with
   ``--journal`` the run is crash-recoverable (``--crash-plan`` arms
-  seeded crashpoints, ``--recover`` replays the WAL after a crash);
-* ``fsck``      — scan an on-disk plan store, quarantine corrupt
-  entries and reclaim orphaned temp files.
+  seeded crashpoints, ``--recover`` replays the WAL after a crash).
 """
 
 from __future__ import annotations
@@ -190,7 +188,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     result = run_campaign(
         matrix,
         workers=args.workers,
-        cache_dir=args.cache_dir,
         log_path=args.log,
         resume=args.resume,
         shard_timeout_s=args.shard_timeout,
@@ -211,7 +208,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from repro.core import PlanStore
     from repro.faults import SimulatedCrash, crashes_armed, parse_crash_plan
     from repro.metrics import (
         format_service_report,
@@ -239,7 +235,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(batch_window_ms=args.batch_window_ms)
     if args.queue_limit is not None:
         config = replace(config, queue_limit=args.queue_limit)
-    store = PlanStore(args.store) if args.store else None
     if args.journal is None and (args.recover or args.crash_plan):
         print(
             "serve: --recover and --crash-plan require --journal",
@@ -277,7 +272,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     journal,
                     config=config,
                     scheduler=args.scheduler,
-                    store=store,
                 )
                 resume_service(service, seconds, churn=churn)
             else:
@@ -287,7 +281,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     churn=churn,
                     config=config,
                     scheduler=args.scheduler,
-                    store=store,
                     journal=journal,
                 )
     except SimulatedCrash as crash:
@@ -311,29 +304,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if not args.json:
             print(f"wrote {args.report}")
     return 0
-
-
-def cmd_fsck(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.core import PlanStore
-
-    store = PlanStore(args.store, sweep=False)
-    report = store.fsck(repair=not args.no_repair)
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(
-            f"scanned {report.scanned} entries "
-            f"({report.bytes_scanned} bytes): {report.valid} valid, "
-            f"{report.corrupt} corrupt, {report.quarantined} quarantined"
-        )
-        print(
-            f"temp files: {report.tmp_seen} seen, "
-            f"{report.tmp_reclaimed} reclaimed"
-        )
-        print(f"store {'clean' if report.clean else 'DIRTY'}")
-    return 0 if report.clean else 1
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -480,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign = sub.add_parser(
         "campaign",
         help="run an experiment campaign (matrix of scheduler x density "
-        "x seed x fault-preset shards) on a process pool with a shared "
-        "plan cache and resumable run log",
+        "x seed x fault-preset shards) on a process pool with a "
+        "resumable run log",
     )
     campaign.add_argument(
         "--matrix",
@@ -494,12 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="process-pool width; 1 runs serially (default: 1)",
-    )
-    campaign.add_argument(
-        "--cache-dir",
-        default=None,
-        help="root of the shared on-disk plan cache (shards and later "
-        "runs reuse plans keyed by exact planning inputs)",
     )
     campaign.add_argument(
         "--log",
@@ -592,12 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--topology", default="16core",
                        help="16core | 48core | <n> (default: 16core)")
     serve.add_argument(
-        "--store",
-        default=None,
-        help="on-disk plan store warming the daemon's table cache "
-        "(never affects the deterministic report)",
-    )
-    serve.add_argument(
         "--report",
         default=None,
         help="also write the canonical JSON report to this path (the "
@@ -630,25 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
         "RNG checkpoint and run to --seconds",
     )
     serve.set_defaults(func=cmd_serve)
-
-    fsck = sub.add_parser(
-        "fsck",
-        help="verify an on-disk plan store: CRC-check every entry, "
-        "quarantine corrupt ones, reclaim orphaned temp files; exits "
-        "non-zero if anything was wrong",
-    )
-    fsck.add_argument("store", help="plan store root directory")
-    fsck.add_argument(
-        "--no-repair",
-        action="store_true",
-        help="report only; do not quarantine or delete anything",
-    )
-    fsck.add_argument(
-        "--json",
-        action="store_true",
-        help="print the report as JSON",
-    )
-    fsck.set_defaults(func=cmd_fsck)
 
     lint = sub.add_parser(
         "lint",

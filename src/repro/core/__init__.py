@@ -47,15 +47,6 @@ from repro.core.partition import (
     worst_fit_decreasing,
 )
 from repro.core.peephole import PeepholeReport, optimize_core
-from repro.core.plancache import (
-    CACHE_VERSION,
-    FsckReport,
-    PlanStore,
-    PlanStoreStats,
-    plan_key,
-    shape_plan_key,
-    topology_token,
-)
 from repro.core.periods import (
     HYPERPERIOD_NS,
     MIN_PERIOD_NS,
@@ -100,15 +91,9 @@ from repro.core.tasks import PeriodicTask, vcpu_to_task, vcpus_to_tasks
 
 __all__ = [
     "AdmissionReport",
-    "CACHE_VERSION",
     "CacheStats",
-    "FsckReport",
-    "PlanStore",
-    "PlanStoreStats",
     "atomic_write_bytes",
     "atomic_write_text",
-    "plan_key",
-    "topology_token",
     "CoschedulingPolicy",
     "PeepholeReport",
     "TableCache",
@@ -165,7 +150,6 @@ __all__ = [
     "preemption_count",
     "qpa_schedulable",
     "seconds_to_ns",
-    "shape_plan_key",
     "NumaReport",
     "numa_worst_fit",
     "select_period",

@@ -20,15 +20,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.params import VCpuSpec
-from repro.core.planner import PlanResult, Planner
+from repro.core.planner import PlanResult, PlanStats, Planner
 from repro.core.table import CoreTable, SystemTable
 from repro.core.tasks import PeriodicTask
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.core.plancache import PlanStore
 
 #: A vCPU's reservation: (utilization, latency, capped).  Utilization is
 #: the exact float the planner costs tasks from, never a rounding of it.
@@ -63,21 +60,11 @@ class TableCache:
     Args:
         planner: The planner used on cache misses.
         capacity: Maximum cached configurations.
-        store: Optional on-disk :class:`~repro.core.plancache.PlanStore`
-            consulted (by shape key) on in-memory misses and populated
-            with fresh plans — a persistent second cache level, so a
-            restarted control plane or a sibling process starts warm.
     """
 
-    def __init__(
-        self,
-        planner: Planner,
-        capacity: int = 64,
-        store: Optional["PlanStore"] = None,
-    ) -> None:
+    def __init__(self, planner: Planner, capacity: int = 64) -> None:
         self.planner = planner
         self.capacity = capacity
-        self.store = store
         self.stats = CacheStats()
         self._entries: "OrderedDict[_Signature, PlanResult]" = OrderedDict()
 
@@ -96,10 +83,7 @@ class TableCache:
             self.stats.hits += 1
             return rebind_plan(cached, vcpus, base)
         self.stats.misses += 1
-        if self.store is not None:
-            result = self.store.plan_shaped(self.planner, vcpus)
-        else:
-            result = self.planner.plan(list(vcpus))
+        result = self.planner.plan(list(vcpus))
         self._entries[signature] = result
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -142,7 +126,9 @@ def rebind_plan(
     slice tables are shared and no allocation is built; the vCPU index
     is renamed in place of a re-index.  Every task and C=D piece
     (``new#k``) keeps its cost, period, deadline and offset.  The
-    returned plan shares no mutable state with the cached one.
+    returned plan shares no mutable state with the cached one: its
+    ``stats`` are its own, marked ``plan_cache_hit`` with a
+    ``generation_seconds`` of 0.0, since no planning ran.
     """
     specs = {vcpu.name: vcpu for vcpu in sorted(vcpus, key=lambda v: v.name)}
     # cached name -> census name
@@ -213,13 +199,23 @@ def rebind_plan(
         core: [rename_task(task) for task in core_tasks]
         for core, core_tasks in cached.assignment.items()
     }
+    old = cached.stats
     return PlanResult(
         table=system,
         tasks=tasks,
         vcpus=specs,
         assignment=assignment,
         admission=cached.admission,
-        stats=cached.stats,
+        stats=PlanStats(
+            method=old.method,
+            generation_seconds=0.0,
+            num_vcpus=old.num_vcpus,
+            num_tasks=old.num_tasks,
+            split_tasks=old.split_tasks,
+            cluster_cores=list(old.cluster_cores),
+            table_bytes=old.table_bytes,
+            plan_cache_hit=True,
+        ),
     )
 
 

@@ -525,6 +525,11 @@ def remember_core(shape: tuple, record: CoreRecord) -> CoreRecord:
     return record
 
 
+def clear_shape_cache() -> None:
+    """Forget every cached core record (the next plan runs cold)."""
+    _SHAPE_CACHE.clear()
+
+
 def run_pipeline(
     tasks: Sequence[PeriodicTask],
     shape: tuple,

@@ -119,9 +119,10 @@ class PlanStats:
     coalesce: CoalesceReport = field(default_factory=CoalesceReport)
     peephole: Optional[PeepholeReport] = None
     compensated_vcpus: List[str] = field(default_factory=list)
-    #: True when this plan was served from a PlanStore entry instead of
-    #: being generated (generation_seconds then reports the *original*
-    #: generation cost, not the lookup cost).
+    #: True when this plan was not generated but rebound from a cached
+    #: same-shape plan (:func:`repro.core.cache.rebind_plan`) or served
+    #: from ``scenarios.plan_for``'s memo; a rebind's
+    #: ``generation_seconds`` is then 0.0, as no planning ran.
     plan_cache_hit: bool = False
 
 

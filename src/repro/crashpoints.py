@@ -9,9 +9,8 @@ consult :func:`crashpoint` at the real decision point; a seeded
 decides *which* consultation dies.
 
 This module is a leaf (it imports nothing from :mod:`repro`), so even
-the lowest layers — :mod:`repro.core.plancache`'s write path — can
-consult crashpoints without depending on the fault-planning layer
-above them.  The armed plan is duck-typed: anything with
+the lowest layers — the service journal's append path — can consult
+crashpoints without depending on the fault-planning layer above them.  The armed plan is duck-typed: anything with
 ``fires(point) -> Optional[int]`` works.
 
 Two deliberate design points:
@@ -48,11 +47,6 @@ CRASH_JOURNAL_TORN_APPEND = "service.journal.torn-append"
 #: (:meth:`repro.xen.daemon.PlannerDaemon.replan`).
 CRASH_DAEMON_MID_RETRY = "daemon.replan.mid-retry"
 
-#: Crashpoint between the plan store's temp-file write and its atomic
-#: ``os.replace`` (:meth:`repro.core.plancache.PlanStore.put`) — the
-#: window that orphans a ``*.tmp.<pid>`` file.
-CRASH_PLANCACHE_PRE_RENAME = "plancache.write.pre-rename"
-
 #: Every crashpoint the shipped tree consults, in registration order.
 CRASHPOINTS: Tuple[str, ...] = (
     CRASH_SERVICE_ADMIT,
@@ -61,7 +55,6 @@ CRASHPOINTS: Tuple[str, ...] = (
     CRASH_SERVICE_COMMIT,
     CRASH_JOURNAL_TORN_APPEND,
     CRASH_DAEMON_MID_RETRY,
-    CRASH_PLANCACHE_PRE_RENAME,
 )
 
 _registered = set(CRASHPOINTS)

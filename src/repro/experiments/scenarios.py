@@ -18,9 +18,9 @@ instances so tests, benchmarks, and examples stay declarative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core import MS, Planner, PlanResult, PlanStore, make_vm, plan_key
+from repro.core import MS, Planner, PlanResult, make_vm
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -72,9 +72,10 @@ class Scenario:
 #: Process-local memo for :func:`plan_for`.  Every scenario builder and
 #: benchmark funnels through ``plan_for``; before this memo each call
 #: re-planned an identical ``(topology, num_vms, capped)`` census from
-#: scratch.  Keyed by the same exact-input fingerprint the on-disk
-#: :class:`PlanStore` uses, so hits are guaranteed bit-identical.
-_PLAN_MEMO: Dict[str, PlanResult] = {}
+#: scratch.  Keyed by every input of ``plan_for`` — ``(topology,
+#: num_vms, capped, latency_ns)``, the topology being a frozen
+#: dataclass — so a hit is the plan the same call would generate.
+_PLAN_MEMO: Dict[Tuple[Topology, int, bool, int], PlanResult] = {}
 
 #: Cumulative memo hits (exposed for tests and campaign stats).
 plan_for_cache_hits = 0
@@ -93,31 +94,28 @@ def plan_for(
     topology: Topology,
     num_vms: int,
     capped: bool,
-    store: Optional[PlanStore] = None,
     latency_ns: int = VM_LATENCY_NS,
 ) -> PlanResult:
     """The Tableau plan for the paper's uniform high-density census.
 
-    Identical requests are served from a process-local memo (and, when
-    ``store`` is given, from the on-disk :class:`PlanStore`, which also
-    receives fresh results for future runs).  The returned plan's
-    ``stats.plan_cache_hit`` records whether planning work was skipped.
-    ``latency_ns`` tightens or relaxes every VM's latency goal (the
-    paper's default is 20 ms; Fig. 3's hardest curve uses 1 ms).
+    Identical requests are served from a process-local memo.  The
+    returned plan's ``stats.plan_cache_hit`` records whether planning
+    work was skipped.  ``latency_ns`` tightens or relaxes every VM's
+    latency goal (the paper's default is 20 ms; Fig. 3's hardest curve
+    uses 1 ms).
     """
     global plan_for_cache_hits
-    vms = [
-        make_vm(f"vm{i:02d}", VM_UTILIZATION, latency_ns, capped=capped)
-        for i in range(num_vms)
-    ]
-    planner = Planner(topology)
-    key = plan_key(planner, vms)
+    key = (topology, num_vms, capped, latency_ns)
     memoized = _PLAN_MEMO.get(key)
     if memoized is not None:
         plan_for_cache_hits += 1
         memoized.stats.plan_cache_hit = True
         return memoized
-    result = store.plan(planner, vms) if store is not None else planner.plan(vms)
+    vms = [
+        make_vm(f"vm{i:02d}", VM_UTILIZATION, latency_ns, capped=capped)
+        for i in range(num_vms)
+    ]
+    result = Planner(topology).plan(vms)
     _PLAN_MEMO[key] = result
     return result
 
@@ -178,7 +176,6 @@ def build_scenario(
     seed: int = 42,
     tracer: Optional[Tracer] = None,
     plan: Optional[PlanResult] = None,
-    store: Optional[PlanStore] = None,
     faults: Optional["FaultPlan"] = None,
     latency_ns: int = VM_LATENCY_NS,
     engine: str = "object",
@@ -196,8 +193,6 @@ def build_scenario(
         seed: Simulation RNG seed.
         tracer: Optional tracer (e.g., with dispatch records enabled).
         plan: Reuse a previously computed plan for this census.
-        store: On-disk :class:`PlanStore` consulted when ``plan`` is
-            not given (campaign shards share one across processes).
         faults: Optional runtime fault plan armed on the machine
             (campaign fault/health-preset cells).
         latency_ns: Per-VM latency goal for the generated plan
@@ -215,7 +210,7 @@ def build_scenario(
     topo = topology if topology is not None else xeon_16core()
     count = num_vms if num_vms is not None else VMS_PER_CORE * len(topo.guest_cores)
     if plan is None:
-        plan = plan_for(topo, count, capped, store=store, latency_ns=latency_ns)
+        plan = plan_for(topo, count, capped, latency_ns=latency_ns)
 
     sched = make_scheduler(scheduler, plan, capped, topo)
     machine_cls = ArrayMachine if engine == "array" else Machine

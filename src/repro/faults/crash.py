@@ -29,7 +29,6 @@ from typing import List, Optional, Sequence
 
 from repro.crashpoints import (
     CRASH_JOURNAL_TORN_APPEND,
-    CRASH_PLANCACHE_PRE_RENAME,
     CRASH_SERVICE_ADMIT,
     CRASH_SERVICE_COMMIT,
     CRASH_SERVICE_FLUSH_POST_PUSH,
@@ -51,7 +50,6 @@ SERVICE_CRASHPOINTS = (
     CRASH_SERVICE_FLUSH_POST_PUSH,
     CRASH_SERVICE_COMMIT,
     CRASH_JOURNAL_TORN_APPEND,
-    CRASH_PLANCACHE_PRE_RENAME,
 )
 
 
@@ -164,7 +162,7 @@ def parse_crash_plan(text: str, seed: int = 0) -> CrashPlan:
     persistent from that index::
 
         service.flush.post-push@3
-        service.admit,plancache.write.pre-rename@2
+        service.admit,service.journal.torn-append@2
         daemon.replan.mid-retry@1+
     """
     specs: List[FaultSpec] = []

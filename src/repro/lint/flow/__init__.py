@@ -30,7 +30,7 @@ project-wide call graph:
 ``flow-unjournaled-effect`` / ``flow-effect-order``
     The WAL protocol of the crash-consistent control plane encoded as
     checkable rules over journal appends, crashpoints, and
-    state mutations in ``repro.service`` / ``repro.core.plancache``.
+    state mutations in ``repro.service``.
 
 The pipeline: :mod:`.summary` extracts the summaries; :mod:`.callgraph`
 resolves call sites to a project

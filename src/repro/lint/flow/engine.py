@@ -55,11 +55,11 @@ hot paths (``flow-hot-transitive``)
     in reached unmarked functions fire with the root→alloc call chain.
 
 crash protocol (``flow-unjournaled-effect`` / ``flow-effect-order``)
-    In ``repro.service`` and ``repro.core.plancache``: within any
-    function that appends WAL records, ``self`` mutations (direct or
-    through transitively-mutating method calls) and crashpoints must
-    come after the first append; within any function that appends a
-    commit marker, no mutation may follow the last append.  Early-exit
+    In ``repro.service``: within any function that appends WAL
+    records, ``self`` mutations (direct or through transitively-mutating
+    method calls) and crashpoints must come after the first append;
+    within any function that appends a commit marker, no mutation may
+    follow the last append.  Early-exit
     blocks (validation rejections, exception handlers) are off the
     commit path and exempt.  Functions that touch no journal at all
     are out of scope — replay covers them (e.g. the flush path).
@@ -83,7 +83,7 @@ from repro.lint.patterns import (
 )
 
 #: Modules whose journal discipline the crash-protocol passes check.
-CRASH_SCOPE_PREFIXES = ("repro.service", "repro.core.plancache")
+CRASH_SCOPE_PREFIXES = ("repro.service",)
 
 #: Every rule the engine answers: id -> (family, description).
 RULES: Dict[str, Tuple[str, str]] = {

@@ -259,7 +259,7 @@ class NonatomicWriteRule(Rule):
         "repro.core.atomicio.atomic_write_bytes/_text (temp file + "
         "atomic os.replace).  Append-mode opens are exempt."
     )
-    scope = ("repro.service", "repro.core.plancache", "repro.campaign")
+    scope = ("repro.service", "repro.campaign")
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
         for node in ast.walk(ctx.tree):

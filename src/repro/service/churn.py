@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import math
 import random
+import reprlib
+import zlib
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.params import SEC, Nanoseconds
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, JournalError
 from repro.service.journal import decode_rng_state, encode_rng_state
 from repro.service.requests import (
     KIND_CREATE,
@@ -241,11 +243,36 @@ class ChurnGenerator:
 
         The returned generator's next request (seq, name, kind, tier,
         arrival time) is bit-identical to what the crashed generator
-        would have produced next.
+        would have produced next.  A checkpoint :meth:`_checkpoint`
+        could not have written raises :class:`JournalError` naming the
+        ``seq`` of the journaled request that carried it.
         """
         generator = cls(service, config)
-        generator.rng.setstate(decode_rng_state(str(state["rng"])))
-        generator.generated = int(state["generated"])  # type: ignore[arg-type]
-        generator._births = int(state["births"])  # type: ignore[arg-type]
-        generator._t_s = float.fromhex(str(state["t"]))
+        try:
+            generated = state["generated"]
+            births = state["births"]
+            t_s = float.fromhex(str(state["t"]))
+            rng_state = decode_rng_state(str(state["rng"]))
+            if type(generated) is not int or type(births) is not int:
+                raise TypeError("generated and births must be integers")
+            if not math.isfinite(t_s * SEC):
+                raise ValueError(f"arrival clock {t_s!r} s is not finite in ns")
+            generator.rng.setstate(rng_state)
+        except (
+            KeyError,
+            TypeError,
+            ValueError,
+            OverflowError,
+            RecursionError,
+            zlib.error,
+        ) as error:
+            journal = service.journal
+            seq = journal.last_churn_seq if journal is not None else None
+            raise JournalError(
+                f"request record seq={reprlib.repr(seq)}: unusable churn "
+                f"checkpoint ({type(error).__name__}: {error})"
+            ) from error
+        generator.generated = generated  # type: ignore[assignment]
+        generator._births = births  # type: ignore[assignment]
+        generator._t_s = t_s
         return generator

@@ -71,7 +71,6 @@ from repro.topology import Topology
 from repro.xen.daemon import PlannerDaemon
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.plancache import PlanStore
     from repro.core.planner import PlanResult
 
 
@@ -138,8 +137,6 @@ class SchedulerService:
             (``tableau`` pays Fig. 3 table generation amortized by the
             shape cache; dynamic schedulers pay a flat runqueue
             reconfiguration cost).
-        store: Optional on-disk plan store backing the daemon's table
-            cache across runs.
         engine: Bring-your-own event loop (tests compose the service
             with other actors); by default the service owns one.
         journal: Optional write-ahead log.  Every submitted request is
@@ -157,7 +154,6 @@ class SchedulerService:
         topology: Topology,
         config: Optional[ServiceConfig] = None,
         scheduler: str = "tableau",
-        store: Optional["PlanStore"] = None,
         engine: Optional[SimEngine] = None,
         journal: Optional[ServiceJournal] = None,
         _replaying: bool = False,
@@ -179,7 +175,6 @@ class SchedulerService:
             hypercall=None,
             cache=True,
             history_limit=self.config.history_limit,
-            store=store,
         )
         self.capacity = self.config.utilization_headroom * len(
             topology.guest_cores
@@ -408,9 +403,9 @@ class SchedulerService:
                 self.rejected[REJECT_PLAN_FAILED] += len(batch)
                 self._rollback(batch)
                 return
-        # Dying here loses a replan the daemon already performed (and
-        # possibly a plan-store write); replay re-runs the same replan
-        # from the same census, so the rebuilt daemon state matches.
+        # Dying here loses a replan the daemon already performed;
+        # replay re-runs the same replan from the same census, so the
+        # rebuilt daemon state matches.
         crashpoint(CRASH_SERVICE_FLUSH_POST_PUSH)
         self._shapes_seen.add(signature)
         self._inflight = (batch, census, cost)
@@ -497,7 +492,6 @@ class SchedulerService:
         journal: Union[str, Path, ServiceJournal],
         config: Optional[ServiceConfig] = None,
         scheduler: str = "tableau",
-        store: Optional["PlanStore"] = None,
         engine: Optional[SimEngine] = None,
     ) -> "SchedulerService":
         """Rebuild a service from its journal (crash-restart).
@@ -511,7 +505,9 @@ class SchedulerService:
         the rebuilt history is bit-identical, flush windows, widenings
         and all.  Journaled commit markers deduplicate on re-append and
         are verified against the replayed counters
-        (:class:`~repro.errors.RecoveryError` on divergence).
+        (:class:`~repro.errors.RecoveryError` on divergence).  A request
+        record this journal could not have written raises
+        :class:`~repro.errors.JournalError` naming its ``seq``.
 
         Effects are exactly-once: replayed appends deduplicate by
         ``seq``, and the last journaled churn checkpoint is exposed as
@@ -525,7 +521,6 @@ class SchedulerService:
             topology,
             config=config,
             scheduler=scheduler,
-            store=store,
             engine=engine,
             journal=journal,
             _replaying=True,
@@ -568,7 +563,6 @@ def run_service(
     churn: Optional[ChurnConfig] = None,
     config: Optional[ServiceConfig] = None,
     scheduler: str = "tableau",
-    store: Optional["PlanStore"] = None,
     journal: Optional[ServiceJournal] = None,
 ) -> SchedulerService:
     """Run a seeded churn stream against a fresh service for
@@ -579,8 +573,7 @@ def run_service(
     :func:`repro.service.recovery.crash_recover_resume`.
     """
     service = SchedulerService(
-        topology, config=config, scheduler=scheduler, store=store,
-        journal=journal,
+        topology, config=config, scheduler=scheduler, journal=journal
     )
     generator = ChurnGenerator(service, churn)
     until_ns = seconds_to_ns(duration_s)

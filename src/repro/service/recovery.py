@@ -13,9 +13,7 @@ Three layers on top of :meth:`~repro.service.control.SchedulerService.recover`:
 * :func:`crash_recover_resume` — the whole loop, with the crash plan
   staying armed throughout so multi-index plans kill the recovery too
   (double-crash); each recovery reopens the journal from disk (healing
-  any torn tail) and, when a ``store_factory`` is given, opens a fresh
-  plan store the way a restarted process would — which is what makes
-  the startup orphan sweep part of the story rather than a footnote.
+  any torn tail) the way a restarted process would.
 
 The acceptance property all of this exists to prove: for every
 registered service crashpoint and any crash schedule that eventually
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Union, TYPE_CHECKING
+from typing import List, Optional, Union, TYPE_CHECKING
 
 from repro.core.params import seconds_to_ns
 from repro.crashpoints import SimulatedCrash, crashes_armed
@@ -39,7 +37,6 @@ from repro.service.journal import ServiceJournal
 from repro.topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.plancache import PlanStore
     from repro.faults.crash import CrashPlan
 
 
@@ -50,7 +47,6 @@ def run_to_crash(
     churn: Optional[ChurnConfig] = None,
     config: Optional[ServiceConfig] = None,
     scheduler: str = "tableau",
-    store: Optional["PlanStore"] = None,
 ) -> "tuple[SchedulerService, Optional[SimulatedCrash]]":
     """Run one journaled service until ``duration_s`` or the first
     armed crash, whichever comes first.
@@ -64,8 +60,7 @@ def run_to_crash(
     if not isinstance(journal, ServiceJournal):
         journal = ServiceJournal(journal)
     service = SchedulerService(
-        topology, config=config, scheduler=scheduler, store=store,
-        journal=journal,
+        topology, config=config, scheduler=scheduler, journal=journal
     )
     generator = ChurnGenerator(service, churn)
     until_ns = seconds_to_ns(duration_s)
@@ -125,7 +120,6 @@ def crash_recover_resume(
     churn: Optional[ChurnConfig] = None,
     config: Optional[ServiceConfig] = None,
     scheduler: str = "tableau",
-    store_factory: Optional[Callable[[], "PlanStore"]] = None,
     max_crashes: int = 8,
 ) -> CrashRecoveryOutcome:
     """Run a journaled service under ``plan``, recovering from every
@@ -135,16 +129,12 @@ def crash_recover_resume(
     persist across deaths, so a transient ``calls=(k,)`` spec fires
     once and lets the recovery finish, while ``calls=(k, m)`` or
     ``persistent_from`` schedules kill the recovery as well and are
-    retried (up to ``max_crashes`` total deaths).  ``store_factory``,
-    when given, is invoked once per process lifetime — the initial run
-    and again for every recovery — modelling a restarted daemon opening
-    the plan store anew (startup orphan sweep included).
+    retried (up to ``max_crashes`` total deaths).
     """
     outcome_crashes: List[SimulatedCrash] = []
     healed = 0
     with crashes_armed(plan):
         journal = ServiceJournal(journal_path)
-        store = store_factory() if store_factory is not None else None
         service, crash = run_to_crash(
             topology,
             duration_s,
@@ -152,7 +142,6 @@ def crash_recover_resume(
             churn=churn,
             config=config,
             scheduler=scheduler,
-            store=store,
         )
         while crash is not None:
             outcome_crashes.append(crash)
@@ -163,14 +152,9 @@ def crash_recover_resume(
                 )
             journal = ServiceJournal(journal_path)
             healed += journal.healed_bytes
-            store = store_factory() if store_factory is not None else None
             try:
                 service = SchedulerService.recover(
-                    topology,
-                    journal,
-                    config=config,
-                    scheduler=scheduler,
-                    store=store,
+                    topology, journal, config=config, scheduler=scheduler
                 )
                 resume_service(service, duration_s, churn=churn)
                 crash = None

@@ -50,7 +50,6 @@ from repro.topology import Topology
 from repro.xen.hypercall import PushRecord, TableHypercall
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.core.plancache import PlanStore
     from repro.faults.plan import FaultPlan
 
 #: Replan episode outcomes recorded in :attr:`ReplanRecord.status`.
@@ -132,9 +131,6 @@ class PlannerDaemon:
             :attr:`push_backoffs_ns` rings.
         cache_capacity: In-memory shape-cache capacity when ``cache``
             is enabled.
-        store: Optional on-disk :class:`~repro.core.plancache.PlanStore`
-            backing the table cache (requires ``cache=True``), keyed by
-            census shape so a restarted daemon starts warm.
         planner_kwargs: Forwarded to :class:`repro.core.Planner`.
     """
 
@@ -148,15 +144,12 @@ class PlannerDaemon:
         push_backoff_ns: int = 1_000_000,
         history_limit: int = HISTORY_LIMIT,
         cache_capacity: int = 64,
-        store: Optional["PlanStore"] = None,
         **planner_kwargs,
     ) -> None:
         self.planner = Planner(topology, **planner_kwargs)
         self.hypercall = hypercall
         self.cache = (
-            TableCache(self.planner, capacity=cache_capacity, store=store)
-            if cache
-            else None
+            TableCache(self.planner, capacity=cache_capacity) if cache else None
         )
         self.faults = faults
         self.push_retries = push_retries

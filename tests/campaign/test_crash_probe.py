@@ -76,7 +76,6 @@ class TestShard:
             assert cycle["point"] == expected
             assert cycle["call"] == i + 1
             assert cycle["identical"] is True
-            assert cycle["fsck"]["clean"] is True
 
     def test_campaign_runs_and_aggregates_deterministically(self):
         matrix = crash_matrix()

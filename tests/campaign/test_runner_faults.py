@@ -6,6 +6,7 @@ stand-ins below must be module-level (picklable by reference).
 """
 
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -29,51 +30,58 @@ def tiny_matrix(**overrides):
     return CampaignMatrix(**defaults)
 
 
-def _crash_once(spec, cache_dir):
+#: Where ``_crash_once`` leaves its per-shard markers; set per test by
+#: the ``marker_dir`` fixture (forked workers inherit it, as they do the
+#: patched ``run_shard``).
+MARKER_DIR = None
+
+
+@pytest.fixture
+def marker_dir(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys.modules[__name__], "MARKER_DIR", tmp_path)
+    return tmp_path
+
+
+def _crash_once(spec):
     """Kill the worker hard on each shard's first attempt only."""
-    marker = Path(cache_dir) / f"{spec.shard_id}.crashed"
+    marker = Path(MARKER_DIR) / f"{spec.shard_id}.crashed"
     if not marker.exists():
         marker.write_text("x")
         os._exit(1)
-    return real_run_shard(spec, None)
+    return real_run_shard(spec)
 
 
-def _always_crash(spec, cache_dir):
+def _always_crash(spec):
     os._exit(1)
 
 
-def _always_raise(spec, cache_dir):
+def _always_raise(spec):
     raise ValueError("deterministic shard bug")
 
 
-def _sleep(spec, cache_dir):
+def _sleep(spec):
     time.sleep(1.5)
-    return real_run_shard(spec, None)
+    return real_run_shard(spec)
 
 
 class TestWorkerCrash:
     def test_crashed_shard_is_retried_once_and_succeeds(
-        self, monkeypatch, tmp_path
+        self, monkeypatch, marker_dir
     ):
         monkeypatch.setattr(
             "repro.campaign.runner.run_shard", _crash_once
         )
-        result = run_campaign(
-            tiny_matrix(), workers=2, cache_dir=str(tmp_path)
-        )
+        result = run_campaign(tiny_matrix(), workers=2)
+        assert (marker_dir / f"{result.records[0]['shard']}.crashed").exists()
         assert result.ok
         assert result.retried == 1
         assert result.records[0]["status"] == "ok"
 
-    def test_double_crash_records_failure_without_raising(
-        self, monkeypatch, tmp_path
-    ):
+    def test_double_crash_records_failure_without_raising(self, monkeypatch):
         monkeypatch.setattr(
             "repro.campaign.runner.run_shard", _always_crash
         )
-        result = run_campaign(
-            tiny_matrix(), workers=2, cache_dir=str(tmp_path)
-        )
+        result = run_campaign(tiny_matrix(), workers=2)
         assert not result.ok
         assert result.retried == 1
         assert result.records[0]["status"] == "crashed"
@@ -84,10 +92,7 @@ class TestWorkerCrash:
             "repro.campaign.runner.run_shard", _always_crash
         )
         log = tmp_path / "run.jsonl"
-        run_campaign(
-            tiny_matrix(), workers=2, cache_dir=str(tmp_path),
-            log_path=str(log),
-        )
+        run_campaign(tiny_matrix(), workers=2, log_path=str(log))
         assert '"crashed"' in log.read_text()
 
 

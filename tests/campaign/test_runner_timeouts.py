@@ -37,17 +37,17 @@ def tiny_matrix(**overrides):
     return CampaignMatrix(**defaults)
 
 
-def _hang(spec, cache_dir):
+def _hang(spec):
     """A shard that outlives any reasonable deadline (but not the test)."""
     time.sleep(5.0)
-    return real_run_shard(spec, None)
+    return real_run_shard(spec)
 
 
-def _hang_first_seed(spec, cache_dir):
+def _hang_first_seed(spec):
     """Seed 42 hangs; every other shard is an ordinary fast run."""
     if spec.seed == 42:
         time.sleep(5.0)
-    return real_run_shard(spec, None)
+    return real_run_shard(spec)
 
 
 class TestSharedDeadline:

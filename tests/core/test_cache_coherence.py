@@ -30,11 +30,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import MS, Planner, TableCache, edfcore, make_vm
-from repro.core.cache import rebind_plan
+from repro.core.cache import census_signature, rebind_plan
 from repro.core.params import flatten_vcpus
 from repro.core.periods import HYPERPERIOD_NS, MIN_PERIOD_NS
 from repro.core.postprocess import DEFAULT_COALESCE_NS
-from repro.core.plancache import shape_plan_key
 from repro.core.serialize import serialize, serialize_arrays
 from repro.errors import AdmissionError, PlanningError
 from repro.topology import uniform
@@ -122,7 +121,7 @@ def test_warm_planner_equals_cold_planner(case, peephole):
     plan_or_error(warm, census[:-1])
     first, error = plan_or_error(warm, census)
     again, _ = plan_or_error(warm, census)  # a whole-plan memo hit
-    edfcore._SHAPE_CACHE.clear()
+    edfcore.clear_shape_cache()
     cold, cold_error = plan_or_error(Planner(uniform(cores), peephole=peephole), census)
     if cold is None:
         assert first is None and str(error) == str(cold_error)
@@ -222,7 +221,7 @@ def test_ppm_close_utilizations_are_different_shapes():
     first = flatten_vcpus(vms("a", [(0.333333, 10)] * 3))
     exact = flatten_vcpus(vms("b", [(1 / 3, 10)] * 3))
     planner = Planner(uniform(2))
-    assert shape_plan_key(planner, first) != shape_plan_key(planner, exact)
+    assert census_signature(first) != census_signature(exact)
     cache = TableCache(planner)
     cache.plan(first)
     result = cache.plan(exact)

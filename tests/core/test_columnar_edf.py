@@ -143,7 +143,7 @@ def assert_matches(record, tasks, reference, cpu=0):
 )
 def test_columnar_pipeline_equals_object_pipeline(tasks, threshold_ns, peephole):
     # Start cold so every stage runs, not a shape-cache hit.
-    edfcore._SHAPE_CACHE.clear()
+    edfcore.clear_shape_cache()
     try:
         reference = object_pipeline(tasks, HORIZON, threshold_ns, peephole, cpu=3)
     except (PlanningError, ConfigurationError) as error:

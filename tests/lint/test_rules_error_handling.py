@@ -88,11 +88,7 @@ class TestNonatomicWrite:
 
     def test_truncating_open_flagged_in_scope(self):
         source = 'open(p, "w")\n'
-        for module in (
-            "repro.service.journal",
-            "repro.core.plancache",
-            "repro.campaign.report",
-        ):
+        for module in ("repro.service.journal", "repro.campaign.report"):
             report = lint_source(source, module=module)
             assert "err-nonatomic-write" in rule_ids(report), module
 
@@ -126,7 +122,7 @@ class TestNonatomicWrite:
 
     def test_path_writers_flagged(self):
         for call in ("Path(p).write_bytes(b)", "target.write_text(s)"):
-            report = lint_source(call + "\n", module="repro.core.plancache")
+            report = lint_source(call + "\n", module="repro.service.m")
             assert "err-nonatomic-write" in rule_ids(report), call
 
     def test_suppression_comment_honored(self):

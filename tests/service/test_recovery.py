@@ -10,10 +10,8 @@ import json
 
 import pytest
 
-from repro.core import PlanStore
 from repro.crashpoints import (
     CRASH_JOURNAL_TORN_APPEND,
-    CRASH_PLANCACHE_PRE_RENAME,
     CRASH_SERVICE_ADMIT,
     CRASH_SERVICE_FLUSH_POST_PUSH,
 )
@@ -85,7 +83,6 @@ class TestCrashpointSweep:
             plan,
             churn=churn(seed),
             config=CONFIG,
-            store_factory=lambda: PlanStore(tmp_path / "store"),
         )
         assert outcome.crash_count == 1
         assert outcome.crashes[0].point == point
@@ -227,37 +224,3 @@ class TestDaemonCountersSurviveRecovery:
         expected = json.loads(reference(43))
         assert expected["daemon"]["total_replans"] > 0
         assert recovered["daemon"] == expected["daemon"]
-
-
-class TestStoreCrashConsistency:
-    def test_plancache_crash_orphans_then_startup_sweep_reclaims(
-        self, tmp_path, reference
-    ):
-        # Dying between the temp-file write and its rename leaves an
-        # orphan *.plan.tmp.<pid>; the restarted process's store open
-        # (store_factory, once per process lifetime) sweeps it.
-        store_root = tmp_path / "store"
-        stores = []
-
-        def factory():
-            store = PlanStore(store_root)
-            stores.append(store)
-            return store
-
-        plan = CrashPlan.at(CRASH_PLANCACHE_PRE_RENAME, call=1)
-        outcome = crash_recover_resume(
-            uniform(8),
-            DURATION_S,
-            tmp_path / "wal.bin",
-            plan,
-            churn=churn(42),
-            config=CONFIG,
-            store_factory=factory,
-        )
-        assert outcome.crash_count == 1
-        assert len(stores) == 2  # initial process + one recovery
-        assert stores[1].stats.tmp_reclaimed >= 1
-        assert report_json(outcome.service) == reference(42)
-        # Post-mortem: the surviving store passes fsck.
-        post = PlanStore(store_root, sweep=False).fsck()
-        assert post.clean

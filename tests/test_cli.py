@@ -152,41 +152,3 @@ class TestServeCrashRecovery:
         assert main(self.ARGS + ["--recover"]) == 2
         assert main(self.ARGS + ["--crash-plan", "service.admit"]) == 2
         assert "require --journal" in capsys.readouterr().err
-
-
-class TestFsckCommand:
-    def _warm_store(self, tmp_path):
-        store = str(tmp_path / "store")
-        assert (
-            main(
-                [
-                    "serve", "--seconds", "20", "--topology", "8",
-                    "--population", "10", "--store", store,
-                ]
-            )
-            == 0
-        )
-        return store
-
-    def test_clean_store_exits_zero(self, capsys, tmp_path):
-        store = self._warm_store(tmp_path)
-        capsys.readouterr()
-        assert main(["fsck", store]) == 0
-        out = capsys.readouterr().out
-        assert "store clean" in out
-
-    def test_damaged_store_quarantines_and_exits_one(
-        self, capsys, tmp_path
-    ):
-        from pathlib import Path
-
-        store = self._warm_store(tmp_path)
-        entry = next(Path(store).rglob("*.plan"))
-        entry.write_bytes(b"garbage")
-        capsys.readouterr()
-        assert main(["fsck", store, "--json"]) == 1
-        out = capsys.readouterr().out
-        assert '"clean": false' in out
-        assert '"quarantined": 1' in out
-        # The damage was repaired: a second pass is clean.
-        assert main(["fsck", store]) == 0

@@ -28,6 +28,25 @@ class TestDaemonCache:
                 0.25, abs=1e-3
             )
 
+    def test_hit_gets_its_own_stats(self):
+        daemon = PlannerDaemon(uniform(2), cache=True)
+        boot = daemon.replan(specs("web"), reason="boot")
+        daemon.replan(specs("db", utilization=0.2), reason="swap")
+        back = daemon.replan(specs("web"), reason="swap-back")
+        assert daemon.cache.stats.hits == 1
+        assert back.stats is not boot.stats
+        assert back.stats.plan_cache_hit
+        assert back.stats.generation_seconds == 0.0
+        assert daemon.history[-1].generation_seconds == 0.0
+        assert (back.stats.method, back.stats.num_vcpus, back.stats.table_bytes) == (
+            boot.stats.method,
+            boot.stats.num_vcpus,
+            boot.stats.table_bytes,
+        )
+        # The miss that filled the cache keeps its own record.
+        assert not boot.stats.plan_cache_hit
+        assert boot.stats.generation_seconds > 0.0
+
     def test_cache_disabled_by_default(self):
         daemon = PlannerDaemon(uniform(2))
         assert daemon.cache is None
