@@ -92,6 +92,38 @@ class TestTableCache:
         cache.plan(census("d", utilization=0.1))  # miss again
         assert cache.stats.misses == 4
 
+    def test_miss_reports_its_own_planning(self):
+        cache = TableCache(Planner(uniform(2)))
+        result = cache.plan(census("a"))
+        assert not result.stats.plan_cache_hit
+        assert result.stats.generation_seconds > 0.0
+
+    def test_hit_stats_copy_the_plan_not_the_timing(self):
+        cache = TableCache(Planner(uniform(2)))
+        # Three 0.6 VMs on two cores force a C=D split, so the copied
+        # split and cluster counts are not all zero.
+        miss = cache.plan(census("web", count=3, utilization=0.6))
+        hit = cache.plan(census("db", count=3, utilization=0.6))
+        assert miss.stats.split_tasks > 0
+        assert hit.stats is not miss.stats
+        assert hit.stats.plan_cache_hit
+        assert hit.stats.generation_seconds == 0.0
+        for attr in (
+            "method", "num_vcpus", "num_tasks", "split_tasks",
+            "cluster_cores", "table_bytes",
+        ):
+            assert getattr(hit.stats, attr) == getattr(miss.stats, attr), attr
+
+    def test_hits_share_no_stats(self):
+        cache = TableCache(Planner(uniform(2)))
+        miss = cache.plan(census("a", count=3, utilization=0.6))
+        first = cache.plan(census("b", count=3, utilization=0.6))
+        second = cache.plan(census("c", count=3, utilization=0.6))
+        assert first.stats is not second.stats
+        first.stats.cluster_cores.append(99)
+        assert 99 not in second.stats.cluster_cores
+        assert 99 not in miss.stats.cluster_cores
+
     def test_cache_is_much_faster_than_planning(self):
         import time
 

@@ -1,8 +1,10 @@
 """The tenant WAL: framing, healing, idempotent appends
 (repro.service.journal)."""
 
+import json
 import random
 import struct
+import zlib
 
 import pytest
 
@@ -24,6 +26,11 @@ def request(seq: int, tenant: str = "t0", at: int = 0) -> TenantRequest:
     return TenantRequest(
         KIND_CREATE, tenant, tier="economy", arrival_ns=at, seq=seq
     )
+
+
+def frame(payload: bytes) -> bytes:
+    """One record as the journal frames it: length, CRC-32, payload."""
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
 
 
 class TestFraming:
@@ -71,6 +78,37 @@ class TestFraming:
         with pytest.raises(JournalError):
             ServiceJournal(path)
 
+    def test_empty_file_gets_a_fresh_header(self, tmp_path):
+        path = tmp_path / "wal.bin"
+        path.write_bytes(b"")
+        with ServiceJournal(path) as journal:
+            assert len(journal) == 0 and journal.healed_bytes == 0
+        assert path.read_bytes() == struct.pack(
+            "<4sHH", b"TJNL", JOURNAL_VERSION, 0
+        )
+
+    def test_missing_parent_directory_is_created(self, tmp_path):
+        path = tmp_path / "run" / "wal.bin"
+        with ServiceJournal(path) as journal:
+            assert journal.append_request(request(0))
+        with ServiceJournal(path) as reopened:
+            assert [r["seq"] for r in reopened.request_records()] == [0]
+
+    def test_unknown_record_type_is_kept_but_never_replayed(self, tmp_path):
+        path = tmp_path / "wal.bin"
+        with ServiceJournal(path) as journal:
+            journal.append_request(request(0, at=3 * MS))
+        with open(path, "ab") as raw:
+            raw.write(frame(b'{"type": "note", "now": 99000000}'))
+        with ServiceJournal(path) as reopened:
+            assert reopened.healed_bytes == 0
+            assert len(reopened) == 2
+            assert [r["seq"] for r in reopened.request_records()] == [0]
+            assert reopened.commit_records() == []
+            # Replay never reaches it, so its time does not extend the
+            # replay either.
+            assert reopened.horizon_ns() == 3 * MS
+
 
 class TestTornTailHealing:
     def _journal_with_two_records(self, path):
@@ -104,6 +142,43 @@ class TestTornTailHealing:
         assert journal.healed_bytes > 0
         assert [r["seq"] for r in journal.request_records()] == [0]
         journal.close()
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            b"\x05\x00\x00",  # shorter than a record header
+            struct.pack("<II", (1 << 24) + 1, 0),  # length past the bound
+            frame(b"\xff\xfe not json"),  # valid CRC, undecodable
+            frame(b"[0, 1]"),  # valid CRC, JSON but not a record
+        ],
+        ids=["short-header", "oversized-length", "undecodable", "not-an-object"],
+    )
+    def test_unreadable_record_is_a_torn_tail(self, tmp_path, tail):
+        path = tmp_path / "wal.bin"
+        intact = self._journal_with_two_records(path)
+        path.write_bytes(intact + tail)
+        with ServiceJournal(path) as journal:
+            assert journal.healed_bytes == len(tail)
+            assert [r["seq"] for r in journal.request_records()] == [0, 1]
+        assert path.read_bytes() == intact
+
+    def test_intact_records_after_a_bad_one_are_dropped(self, tmp_path):
+        # Appends are sequential, so nothing after the first bad record
+        # was durable when the process died: the whole tail goes.
+        path = tmp_path / "wal.bin"
+        intact = self._journal_with_two_records(path)
+        later = frame(
+            json.dumps(
+                {"type": "request", "seq": 2, "kind": "create",
+                 "tenant": "t0", "tier": "economy", "arrival_ns": 0,
+                 "churn": None},
+                sort_keys=True,
+            ).encode()
+        )
+        path.write_bytes(intact + frame(b"[]") + later)
+        with ServiceJournal(path) as journal:
+            assert [r["seq"] for r in journal.request_records()] == [0, 1]
+            assert journal.healed_bytes == len(frame(b"[]")) + len(later)
 
     def test_healed_journal_accepts_new_appends(self, tmp_path):
         path = tmp_path / "wal.bin"
