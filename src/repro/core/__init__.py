@@ -73,13 +73,7 @@ from repro.core.schedulability import (
     max_cd_piece,
     qpa_schedulable,
 )
-from repro.core.serialize import (
-    deserialize,
-    deserialize_arrays,
-    serialize,
-    serialize_arrays,
-    table_size_bytes,
-)
+from repro.core.serialize import deserialize, serialize, table_size_bytes
 from repro.core.splitting import SemiPartitionResult, semi_partition, verify_chain
 from repro.core.table import (
     Allocation,
@@ -135,7 +129,6 @@ __all__ = [
     "coalesce",
     "demand_bound",
     "deserialize",
-    "deserialize_arrays",
     "dp_wrap_schedule",
     "edf_schedulable",
     "fair_share_specs",
@@ -155,7 +148,6 @@ __all__ = [
     "select_period",
     "semi_partition",
     "serialize",
-    "serialize_arrays",
     "simulate_edf",
     "table_size_bytes",
     "validate_against_tasks",

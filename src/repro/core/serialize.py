@@ -43,11 +43,13 @@ every push.  A push's new blocks are remembered only once the whole push
 passed.  Blocks that differ only in vCPU numbering share one
 :class:`~repro.core.table.Segments` and its slice table.
 
-A ``'TBLD'`` delta shares that cache of accepted schedules, under the
-same byte budget (:func:`bind_delta_core`): each changed core's handles
-are numbered by first appearance, so a core whose schedule an earlier
-delta carried, under any names, binds those segments and their slice
-table again and derives nothing.  Its columns are checked on every push
+A ``'TBLD'`` delta (:func:`serialize_delta`) carries only the cores that
+changed, as segment columns, and only the names those cores serve.  It
+shares that cache of accepted schedules, under the same byte budget
+(:func:`bind_delta_core`): each changed core's handles are numbered by
+first appearance, so a core whose schedule an earlier delta carried,
+under any names, binds those segments and their slice table again and
+derives nothing.  Its columns are checked on every push
 (:func:`_read_columns`), and the push's new schedules are remembered
 only once the assembled table passed the no-parallel-service check.
 """
@@ -66,20 +68,17 @@ from repro.errors import TableDeltaMismatchError, TableFormatError
 MAGIC = b"TBLO"
 VERSION = 1
 
-#: Magic of the structure-of-arrays payload (:func:`serialize_arrays`).
-ARRAY_MAGIC = b"TBLA"
-ARRAY_VERSION = 1
-
 #: Magic of the delta payload (:func:`serialize_delta`): only the cores
 #: that changed since a known base table travel, as raw segment columns.
+#: Version 2 carries only the names those cores serve.
 DELTA_MAGIC = b"TBLD"
-DELTA_VERSION = 1
+DELTA_VERSION = 2
 
 _HEADER = struct.Struct("<4sHHQII")
 _CPU_HEADER = struct.Struct("<IIQII")
 _ALLOC = struct.Struct("<QQiI8x")
 _SLICE = struct.Struct("<ii")
-_ARRAY_CPU_HEADER = struct.Struct("<II")
+_COLUMN_CPU_HEADER = struct.Struct("<II")
 
 #: Flags stored per allocation record.
 FLAG_IDLE = 0x1
@@ -520,95 +519,23 @@ def _check_layout(cpu: int, starts: array, ends: array, length_ns: int) -> None:
         raise TableFormatError(f"cpu{cpu}: record [{start}, {end}) {problem}")
 
 
-def serialize_arrays(table: SystemTable) -> bytes:
-    """Encode a table as the dispatcher's structure-of-arrays payload.
-
-    The record format above is the planner->hypervisor ABI; this is the
-    dispatcher-side compilation of the same table: per core, the
-    gap-free segment columns the array engine
-    (:mod:`repro.sim.arraycore`) plays back with a cursor.  Layout
-    (little-endian):
-
-        header    : magic 'TBLA' | version u16 | ncpus u16 | length u64
-                    | nvcpus u32 | reserved u32                  (24 B)
-        string tbl: nvcpus x (u16 len | utf-8 bytes)
-        per cpu   : cpu u32 | nsegs u32                           (8 B)
-          ends    : nsegs x i64  (raw column, segment end times)
-          handles : nsegs x i64  (raw column, vCPU ids; -1 = idle)
-
-    Segment starts are not stored: the columns cover ``[0, length_ns)``
-    without gaps, so ``start[i]`` is ``end[i-1]`` (``0`` for the first
-    segment).  The raw i64 columns round-trip straight into
-    ``array('q')`` with no per-record unpacking.
-    """
-    columns = table.as_arrays()
-    chunks: List[bytes] = [
-        _HEADER.pack(
-            ARRAY_MAGIC,
-            ARRAY_VERSION,
-            len(columns),
-            table.length_ns,
-            len(table.vcpu_names),
-            0,
-        )
-    ]
-    for name in table.vcpu_names:
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-    for cpu in sorted(columns):
-        _starts, ends, handles = columns[cpu]
-        if sys.byteorder != "little":  # pragma: no cover - BE hosts only
-            ends, handles = ends[:], handles[:]
-            ends.byteswap()
-            handles.byteswap()
-        chunks.append(_ARRAY_CPU_HEADER.pack(cpu, len(ends)))
-        chunks.append(ends.tobytes())
-        chunks.append(handles.tobytes())
-    return b"".join(chunks)
-
-
-def deserialize_arrays(
-    payload: bytes,
-) -> Tuple[int, List[str], Dict[int, Tuple[array, array]]]:
-    """Decode a structure-of-arrays payload.
-
-    Returns ``(length_ns, vcpu_names, columns)`` where ``columns`` maps
-    each cpu to its ``(ends, handles)`` pair of ``array('q')`` columns,
-    ready for cursor playback.  Raises :class:`TableFormatError` on bad
-    magic, version mismatch, truncation, trailing bytes, or malformed
-    columns (see :func:`_read_columns`), mirroring :func:`deserialize`.
-    """
-    view = memoryview(payload)
-    if _HEADER.size > len(view):
-        raise TableFormatError("truncated array table header")
-    magic, version, ncpus, length_ns, nvcpus, _ = _HEADER.unpack_from(view, 0)
-    if magic != ARRAY_MAGIC:
-        raise TableFormatError(f"bad array-table magic {magic!r}")
-    if version != ARRAY_VERSION:
-        raise TableFormatError(f"unsupported array-table version {version}")
-    names, offset = _read_names(bytes(payload), _HEADER.size, nvcpus)
-    columns = _read_columns(view, offset, ncpus, length_ns, len(names))
-    return length_ns, names, columns
-
-
 def _read_columns(
     view: memoryview, offset: int, ncpus: int, length_ns: int, nnames: int
 ) -> Dict[int, Tuple[array, array]]:
-    """The per-cpu ``(ends, handles)`` columns of a segment-column payload.
+    """The per-cpu ``(ends, handles)`` columns of a ``'TBLD'`` payload.
 
-    Shared by the ``'TBLA'`` and ``'TBLD'`` decoders.  Each cpu may
-    appear once; its ends must rise strictly from the implicit first
-    start 0 and finish at ``length_ns`` (the segments cover the cycle
-    without gaps or overlaps); its handles must be ``-1`` (idle) or
-    index the string table; and the columns must end the payload.
+    Each cpu may appear once; its ends must rise strictly from the
+    implicit first start 0 and finish at ``length_ns`` (the segments
+    cover the cycle without gaps or overlaps); its handles must be ``-1``
+    (idle) or index the string table; and the columns must end the
+    payload.
     """
     columns: Dict[int, Tuple[array, array]] = {}
     for _ in range(ncpus):
-        if offset + _ARRAY_CPU_HEADER.size > len(view):
+        if offset + _COLUMN_CPU_HEADER.size > len(view):
             raise TableFormatError("truncated per-cpu column header")
-        cpu, nsegs = _ARRAY_CPU_HEADER.unpack_from(view, offset)
-        offset += _ARRAY_CPU_HEADER.size
+        cpu, nsegs = _COLUMN_CPU_HEADER.unpack_from(view, offset)
+        offset += _COLUMN_CPU_HEADER.size
         if cpu in columns:
             raise TableFormatError(f"cpu {cpu} listed twice")
         column_bytes = nsegs * 8
@@ -650,38 +577,56 @@ def serialize_delta(
 ) -> bytes:
     """Encode a delta push: only ``changed_cores``, as segment columns.
 
-    Layout mirrors :func:`serialize_arrays` — header (with the base
-    token in the reserved slot), the *full* new vCPU string table
-    (handle assignments shift when the census changes, so names always
-    travel), then per changed cpu the gap-free ``ends``/``handles``
-    columns.  ``base_token`` names the staged table generation the delta
-    applies on top of; the hypervisor rejects a mismatched token with
-    :class:`TableFormatError` and the daemon falls back to a full push.
-    Only the changed cores are flattened.
+    Layout (little-endian):
+
+        header    : magic 'TBLD' | version u16 | ncpus u16 | length u64
+                    | nnames u32 | base token u32                 (24 B)
+        string tbl: nnames x (u16 len | utf-8 bytes)
+        per cpu   : cpu u32 | nsegs u32                           (8 B)
+          ends    : nsegs x i64  (raw column, segment end times)
+          handles : nsegs x i64  (raw column, string-table index; -1 = idle)
+
+    The string table holds the names the carried cores serve, each once,
+    numbered by first appearance over the cores in cpu order; handles
+    index it.  The receiver binds a carried core by its names
+    (:func:`bind_delta_core`) and patches its vCPU index from them, so
+    nothing in a delta refers to the base table's numbering.  Segment
+    starts are implicit: the columns cover ``[0, length_ns)`` without
+    gaps, so ``start[i]`` is ``end[i-1]`` (``0`` for the first segment).
+    ``base_token`` names the staged table generation the delta applies on
+    top of; the hypervisor rejects a mismatched token with
+    :class:`TableDeltaMismatchError` and the daemon falls back to a full
+    push.
     """
+    number: Dict[str, int] = {}
+    columns: List[bytes] = []
+    for cpu in sorted(changed_cores):
+        core = table.cores[cpu]
+        for name in core.served_names():
+            number.setdefault(name, len(number))
+        _starts, ends, handles = core.as_arrays(number.__getitem__)
+        if sys.byteorder != "little":  # pragma: no cover - BE hosts only
+            ends, handles = ends[:], handles[:]
+            ends.byteswap()
+            handles.byteswap()
+        columns.append(_COLUMN_CPU_HEADER.pack(cpu, len(ends)))
+        columns.append(ends.tobytes())
+        columns.append(handles.tobytes())
     chunks: List[bytes] = [
         _HEADER.pack(
             DELTA_MAGIC,
             DELTA_VERSION,
             len(changed_cores),
             table.length_ns,
-            len(table.vcpu_names),
+            len(number),
             base_token,
         )
     ]
-    for name in table.vcpu_names:
+    for name in number:
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)
-    for cpu in sorted(changed_cores):
-        _starts, ends, handles = table.cores[cpu].as_arrays(table.vcpu_id)
-        if sys.byteorder != "little":  # pragma: no cover - BE hosts only
-            ends, handles = ends[:], handles[:]
-            ends.byteswap()
-            handles.byteswap()
-        chunks.append(_ARRAY_CPU_HEADER.pack(cpu, len(ends)))
-        chunks.append(ends.tobytes())
-        chunks.append(handles.tobytes())
+    chunks += columns
     return b"".join(chunks)
 
 
@@ -690,23 +635,26 @@ def deserialize_delta(
 ) -> Tuple[int, List[str], int, Dict[int, Tuple[array, array]]]:
     """Decode a delta payload.
 
-    Returns ``(length_ns, vcpu_names, base_token, columns)`` where
-    ``columns`` maps each *changed* cpu to its ``(ends, handles)``
-    column pair.  Raises :class:`TableFormatError` on bad magic, version
-    mismatch, truncation, trailing bytes, or malformed columns (see
-    :func:`_read_columns`).
+    Returns ``(length_ns, names, base_token, columns)`` where ``names``
+    is the delta's string table and ``columns`` maps each *changed* cpu
+    to its ``(ends, handles)`` column pair.  Raises
+    :class:`TableFormatError` on bad magic, a version other than 2,
+    truncation, trailing bytes, a name listed twice in the string table,
+    or malformed columns (see :func:`_read_columns`).
     """
     view = memoryview(payload)
     if _HEADER.size > len(view):
         raise TableFormatError("truncated delta table header")
-    magic, version, ncpus, length_ns, nvcpus, base_token = _HEADER.unpack_from(
+    magic, version, ncpus, length_ns, nnames, base_token = _HEADER.unpack_from(
         view, 0
     )
     if magic != DELTA_MAGIC:
         raise TableFormatError(f"bad delta-table magic {magic!r}")
     if version != DELTA_VERSION:
         raise TableFormatError(f"unsupported delta-table version {version}")
-    names, offset = _read_names(bytes(payload), _HEADER.size, nvcpus)
+    names, offset = _read_names(bytes(payload), _HEADER.size, nnames)
+    if len(set(names)) != len(names):
+        raise TableFormatError("a vCPU name is listed twice in the string table")
     columns = _read_columns(view, offset, ncpus, length_ns, len(names))
     return length_ns, names, base_token, columns
 

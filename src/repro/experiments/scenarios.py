@@ -17,7 +17,7 @@ instances so tests, benchmarks, and examples stay declarative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core import MS, Planner, PlanResult, make_vm
@@ -100,17 +100,29 @@ def plan_for(
 
     Identical requests are served from a process-local memo.  The
     returned plan's ``stats.plan_cache_hit`` records whether planning
-    work was skipped.  ``latency_ns`` tightens or relaxes every VM's
-    latency goal (the paper's default is 20 ms; Fig. 3's hardest curve
-    uses 1 ms).
+    work was skipped: a memo hit is a copy of the memoized plan that
+    shares its table, tasks and assignment but has its own stats
+    (``plan_cache_hit``, with a ``generation_seconds`` of 0.0), so the
+    plan the planning call returned keeps its own.  ``latency_ns``
+    tightens or relaxes every VM's latency goal (the paper's default is
+    20 ms; Fig. 3's hardest curve uses 1 ms).
     """
     global plan_for_cache_hits
     key = (topology, num_vms, capped, latency_ns)
     memoized = _PLAN_MEMO.get(key)
     if memoized is not None:
         plan_for_cache_hits += 1
-        memoized.stats.plan_cache_hit = True
-        return memoized
+        stats = memoized.stats
+        return replace(
+            memoized,
+            stats=replace(
+                stats,
+                generation_seconds=0.0,
+                cluster_cores=list(stats.cluster_cores),
+                compensated_vcpus=list(stats.compensated_vcpus),
+                plan_cache_hit=True,
+            ),
+        )
     vms = [
         make_vm(f"vm{i:02d}", VM_UTILIZATION, latency_ns, capped=capped)
         for i in range(num_vms)

@@ -39,7 +39,7 @@ from repro.core.serialize import (
     serialize,
     serialize_delta,
 )
-from repro.core.table import Segments, SystemTable
+from repro.core.table import CoreTable, Segments, SystemTable
 from repro.errors import TableDeltaMismatchError, TableFormatError, TablePushError
 from repro.faults.plan import SITE_ACTIVATION, SITE_PAYLOAD, SITE_PUSH, corrupt_payload
 from repro.schedulers.tableau import TableauScheduler
@@ -175,17 +175,21 @@ class TableHypercall:
         """Validate and stage a delta payload (changed per-core columns).
 
         The delta is applied on top of the most recently pushed table:
-        cores absent from the payload share that base table's
-        ``CoreTable`` objects outright (zero-copy), and each core present
-        is bound to its name-free schedule
-        (:func:`~repro.core.serialize.bind_delta_core`): one an earlier
-        delta carried shares its segments and slice table, so only a new
-        schedule is built and has its slice table derived.  A delta whose base
-        token does not name the current push generation, whose geometry
-        disagrees with the base, or whose new schedule would derive more
-        than ``DELTA_SLICE_LIMIT`` slice entries is rejected with
-        :class:`TableDeltaMismatchError` *before* anything is staged;
-        the daemon then falls back to a full push.
+        the staged table is that base table with the carried cores laid
+        over it (:meth:`~repro.core.table.SystemTable.patched`).  Cores
+        absent from the payload share the base's ``CoreTable`` objects
+        outright (zero-copy), and the vCPU index is the base's, patched
+        for the replaced and carried cores.  Each core present is bound
+        to its name-free schedule
+        (:func:`~repro.core.serialize.bind_delta_core`) under the names
+        of the delta's string table: one an earlier delta carried shares
+        its segments and slice table, so only a new schedule is built and
+        has its slice table derived.  A delta whose base token does not
+        name the current push generation, whose geometry disagrees with
+        the base, or whose new schedule would derive more than
+        ``DELTA_SLICE_LIMIT`` slice entries is rejected with
+        :class:`TableDeltaMismatchError` *before* anything is staged; the
+        daemon then falls back to a full push.
 
         :func:`~repro.core.serialize.deserialize_delta` checks each
         changed core's columns and the base cores were checked when they
@@ -211,17 +215,17 @@ class TableHypercall:
                 f"delta length {length_ns} does not match base length "
                 f"{base.length_ns}"
             )
-        cores = dict(base.cores)
+        carried: Dict[int, CoreTable] = {}
         schedules: Dict[ScheduleKey, Segments] = {}
         for cpu, (ends, handles) in columns.items():
-            if cpu not in cores:
+            if cpu not in base.cores:
                 raise TableDeltaMismatchError(
                     f"delta for cpu {cpu} absent from the base table"
                 )
-            cores[cpu] = bind_delta_core(
+            carried[cpu] = bind_delta_core(
                 cpu, length_ns, ends, handles, names, schedules
             )
-        table = SystemTable(length_ns=length_ns, cores=cores)
+        table = base.patched(carried)
         check_parallel_service(table)
         remember_schedules(schedules)
         return self._stage(table, len(payload), delta=True)

@@ -28,13 +28,21 @@ def fresh_memo():
 
 class TestPlanForMemo:
     def test_repeat_census_hits_memo(self):
+        # A hit shares the planned table but has its own stats, so the
+        # plan the first call returned still reads as planned.
+        scenarios.reset_plan_memo()
         before = scenarios.plan_for_cache_hits
         first = scenarios.plan_for(uniform(4), 8, False)
         assert scenarios.plan_for_cache_hits == before
         second = scenarios.plan_for(uniform(4), 8, False)
         assert scenarios.plan_for_cache_hits == before + 1
-        assert second is first
+        assert second is not first
+        assert second.table is first.table
+        assert second.tasks is first.tasks
+        assert second.stats is not first.stats
         assert second.stats.plan_cache_hit
+        assert second.stats.generation_seconds == 0.0
+        assert not first.stats.plan_cache_hit
 
     def test_distinct_censuses_do_not_collide(self):
         a = scenarios.plan_for(uniform(4), 8, False)
@@ -50,7 +58,7 @@ class TestPlanForMemo:
         again = scenarios.plan_for(
             uniform(4), 8, False, latency_ns=scenarios.VM_LATENCY_NS
         )
-        assert again is first
+        assert again.table is first.table
 
     def test_reset_replans_the_same_census(self):
         first = scenarios.plan_for(uniform(4), 8, False)

@@ -9,14 +9,11 @@ import pytest
 from repro.core.serialize import (
     _DECODED,
     _SCHEDULES,
-    ARRAY_MAGIC,
     MAGIC,
     clear_decode_cache,
     deserialize,
-    deserialize_arrays,
     deserialize_delta,
     serialize,
-    serialize_arrays,
     serialize_delta,
     table_size_bytes,
 )
@@ -180,7 +177,8 @@ def names_end(system):
 
 
 def second_cpu_offset(system, payload_kind):
-    """Offset of the second cpu's header in a payload of ``system``."""
+    """Offset of the second cpu's header in a payload of ``system`` (a
+    delta of every core carries every name, in the same order)."""
     first = system.cores[min(system.cores)]
     if payload_kind == "TBLO":
         first.build_slices()
@@ -192,7 +190,6 @@ def second_cpu_offset(system, payload_kind):
 
 ENCODERS = {
     "TBLO": (serialize, deserialize),
-    "TBLA": (serialize_arrays, deserialize_arrays),
     "TBLD": (lambda system: serialize_delta(system, [0, 1], 7), deserialize_delta),
 }
 
@@ -433,73 +430,35 @@ class TestDeltaSchedules:
         assert codec._decoded_bytes <= codec._DECODED_BYTES
 
 
-class TestArrayFormat:
-    """The dispatcher-side structure-of-arrays payload ('TBLA')."""
+class TestDeltaFormat:
+    """'TBLD' version 2: a delta carries only the names its cores serve."""
 
-    def test_columns_round_trip(self):
+    def test_bytes_follow_the_documented_layout(self):
         system = sample_system()
-        length_ns, names, columns = deserialize_arrays(serialize_arrays(system))
-        assert length_ns == system.length_ns
-        assert names == system.vcpu_names
-        expected = system.as_arrays()
-        assert set(columns) == set(expected)
-        for cpu, (ends, handles) in columns.items():
-            exp_starts, exp_ends, exp_handles = expected[cpu]
-            assert ends == exp_ends
-            assert handles == exp_handles
+        _starts, ends, handles = system.cores[1].as_arrays({"vm2.vcpu0": 0}.__getitem__)
+        expected = [
+            struct.pack("<4sHHQII", b"TBLD", 2, 1, 10_000, 1, 7),
+            struct.pack("<H", 9) + b"vm2.vcpu0",
+            struct.pack("<II", 1, len(ends)),
+            struct.pack(f"<{len(ends)}q", *ends),
+            struct.pack(f"<{len(handles)}q", *handles),
+        ]
+        assert serialize_delta(system, [1], 7) == b"".join(expected)
 
-    def test_segments_cover_cycle_without_gaps(self):
-        length_ns, _names, columns = deserialize_arrays(
-            serialize_arrays(sample_system())
+    def test_names_are_numbered_by_first_appearance_over_the_cores(self):
+        system = sample_system()
+        length_ns, names, token, columns = deserialize_delta(
+            serialize_delta(system, [1, 0], 3)
         )
-        for ends, _handles in columns.values():
-            # Starts are implicit: end[i-1] (0 for the first segment),
-            # so full coverage means the last end is the cycle length.
-            assert list(ends) == sorted(ends)
-            assert ends[-1] == length_ns
+        assert (length_ns, token) == (10_000, 3)
+        assert names == ["vm0.vcpu0", "vm1.vcpu0", "vm2.vcpu0"]
+        # cpu1's explicit idle record travels as idle time (handle -1).
+        assert columns[1][1].tolist() == [-1, 2, -1, -1, -1]
 
-    def test_playback_agrees_with_record_format_lookup(self):
-        system = sample_system()
-        system.build_slices()
-        length_ns, names, columns = deserialize_arrays(serialize_arrays(system))
-        for cpu, (ends, handles) in columns.items():
-            cursor = 0
-            start = 0
-            for t in range(0, length_ns, 113):
-                while ends[cursor] <= t:
-                    start = ends[cursor]
-                    cursor += 1
-                handle = handles[cursor]
-                expected = system.cores[cpu].lookup(t)
-                if handle < 0:
-                    assert expected is None or expected.vcpu is None
-                else:
-                    assert expected is not None
-                    assert names[handle] == expected.vcpu
-
-    def test_magic_is_first_bytes(self):
-        assert serialize_arrays(sample_system())[:4] == ARRAY_MAGIC
-
-    def test_bad_magic_rejected(self):
-        payload = bytearray(serialize_arrays(sample_system()))
-        payload[:4] = b"XXXX"
-        with pytest.raises(TableFormatError):
-            deserialize_arrays(bytes(payload))
-
-    def test_bad_version_rejected(self):
-        payload = bytearray(serialize_arrays(sample_system()))
-        struct.pack_into("<H", payload, 4, 99)
-        with pytest.raises(TableFormatError):
-            deserialize_arrays(bytes(payload))
-
-    def test_truncated_payload_rejected(self):
-        payload = serialize_arrays(sample_system())
-        with pytest.raises(TableFormatError):
-            deserialize_arrays(payload[: len(payload) - 8])
-
-    def test_empty_payload_rejected(self):
-        with pytest.raises(TableFormatError):
-            deserialize_arrays(b"")
+    def test_a_delta_of_no_cores_carries_no_names(self):
+        payload = serialize_delta(sample_system(), [], 0)
+        assert len(payload) == 24
+        assert deserialize_delta(payload)[1] == []
 
 
 class TestTableSize:

@@ -6,8 +6,9 @@ never a crash or a silently corrupt table) on any malformed payload.
 The decoder remembers the core blocks it accepted, so each hostile
 payload is also decoded against a warm cache, which must reach the same
 verdict as a cold one.  Delta ('TBLD') pushes share the cache of
-accepted schedules, so mutated real deltas are pushed on their base
-with the cache warm and cold too.
+accepted schedules, so mutated real deltas (version 2: the string table
+holds only the carried cores' names) are pushed on their base with the
+cache warm and cold too.
 """
 
 import importlib
@@ -237,6 +238,29 @@ def names_end(payload):
     return offset
 
 
+def with_names(payload, names):
+    """``payload`` with its string table replaced by ``names``; the
+    handles of its columns index the new table."""
+    header = bytearray(payload[:24])
+    struct.pack_into("<I", header, 16, len(names))
+    table = b"".join(struct.pack("<H", len(n.encode())) + n.encode() for n in names)
+    return bytes(header) + table + payload[names_end(payload) :]
+
+
+#: Names a replaced 'TBLD' string table draws from: vCPUs a kept core of
+#: the base serves, the carried ones, a stranger and an empty name.
+NAME_POOL = (
+    "vm00.vcpu0",
+    "vm01.vcpu0",
+    "vm10.vcpu0",
+    "vm43.vcpu0",
+    "new10.vcpu0",
+    "vm44.vcpu0",
+    "ghost",
+    "",
+)
+
+
 def with_short_allocation(payload, span_ns):
     """``payload`` with its first core's first allocation cut to
     ``span_ns``; the segment after it takes the rest."""
@@ -346,6 +370,30 @@ class TestDeltaWarmCacheAgreesWithCold:
         warm, cold = warm_and_cold_delta(delta_cases()[case], clean[: cut % len(clean)])
         assert isinstance(warm[1], str)
         assert warm == cold
+
+    @given(
+        case=st.integers(min_value=0, max_value=1),
+        names=st.lists(st.sampled_from(NAME_POOL), max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_string_table_replaced(self, case, names):
+        # Names moved onto a carried core from a kept one, repeated,
+        # missing, or more than the handles use: staged with the index
+        # its cores derive, or a typed rejection, warm and cold alike.
+        payload = with_names(delta_cases()[case][1], names)
+        warm, cold = warm_and_cold_delta(delta_cases()[case], payload)
+        assert warm == cold
+        if not isinstance(warm[1], str):
+            vcpu_names, home_cores, cores, _bytes = warm
+            rebuilt = SystemTable(
+                length_ns=102_702_600,
+                cores={
+                    cpu: CoreTable(cpu=cpu, length_ns=102_702_600, allocations=allocs)
+                    for cpu, (allocs, _len, _slices) in cores.items()
+                },
+            )
+            assert vcpu_names == rebuilt.vcpu_names
+            assert list(home_cores.items()) == list(rebuilt.home_cores.items())
 
     @pytest.mark.parametrize("case", [0, 1])
     def test_clean_delta(self, case):

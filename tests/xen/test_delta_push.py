@@ -144,9 +144,12 @@ class TestHypercallDeltaProtocol:
             hypercall.push_table_delta(garbled)
 
 
-def delta_payload(length_ns, names, token, cpu, ends, handles):
-    """A hand-built one-core 'TBLD' payload with the given raw columns."""
-    chunks = [struct.pack("<4sHHQII", b"TBLD", 1, 1, length_ns, len(names), token)]
+def delta_payload(length_ns, names, token, cpu, ends, handles, version=2):
+    """A hand-built one-core 'TBLD' payload with the given raw columns;
+    ``handles`` index ``names``, the payload's own string table."""
+    chunks = [
+        struct.pack("<4sHHQII", b"TBLD", version, 1, length_ns, len(names), token)
+    ]
     for name in names:
         chunks.append(struct.pack("<H", len(name)) + name.encode())
     chunks.append(struct.pack("<II", cpu, len(ends)))
@@ -165,15 +168,19 @@ class TestMalformedDeltaColumns:
         daemon.replan(census(4), "boot")
         return hypercall, sched, hypercall.staged_table
 
-    def crafted(self, hypercall, base, ends, handles):
+    def crafted(self, hypercall, base, ends, handles, names=None, **kwargs):
+        """A delta for the lowest cpu, ``ends`` in 1/10,000ths of the
+        table; the string table is ``names``, by default the first vCPU
+        of the base's index (served only on that cpu)."""
         length = base.length_ns
         return delta_payload(
             length,
-            list(base.vcpu_names),
+            [base.vcpu_names[0]] if names is None else names,
             hypercall.delta_generation,
             min(base.cores),
             [end * length // 10_000 for end in ends],
             handles,
+            **kwargs,
         )
 
     def test_well_formed_crafted_delta_is_staged(self):
@@ -183,6 +190,37 @@ class TestMalformedDeltaColumns:
         assert base.home_cores[base.vcpu_names[0]] == [min(base.cores)]
         payload = self.crafted(hypercall, base, [2_500, 6_000, 10_000], [0, -1, 0])
         assert hypercall.push_table_delta(payload).delta
+        staged = hypercall.staged_table
+        rebuilt = SystemTable(length_ns=staged.length_ns, cores=dict(staged.cores))
+        assert staged.vcpu_names == rebuilt.vcpu_names
+        assert list(staged.home_cores.items()) == list(rebuilt.home_cores.items())
+
+    def test_version_1_payload_rejected_untouched(self):
+        # Version 1 carried the whole census's string table; its payloads
+        # are refused, not read as version 2.
+        hypercall, sched, base = self.pushed()
+        payload = self.crafted(
+            hypercall, base, [2_500, 6_000, 10_000], [0, -1, 0], version=1
+        )
+        with pytest.raises(TableFormatError, match="version 1"):
+            hypercall.push_table_delta(payload)
+        assert hypercall.staged_table is base
+        assert sched.pending_table is base
+
+    def test_repeated_name_in_the_string_table_rejected(self):
+        # Two handles of one name would give it two ids on one core, and
+        # the patched vCPU index holds each name once.
+        hypercall, sched, base = self.pushed()
+        name = base.vcpu_names[0]
+        payload = self.crafted(
+            hypercall, base, [2_500, 6_000, 10_000], [0, -1, 1], names=[name, name]
+        )
+        with pytest.raises(TableFormatError, match="listed twice"):
+            deserialize_delta(payload)
+        with pytest.raises(TableFormatError, match="listed twice"):
+            hypercall.push_table_delta(payload)
+        assert hypercall.staged_table is base
+        assert sched.pending_table is base
 
     @pytest.mark.parametrize(
         "ends, handles",
@@ -208,16 +246,21 @@ class TestMalformedDeltaColumns:
         assert hypercall.delta_generation == generation
         assert hypercall.retired_unactivated == 0
 
+    @staticmethod
+    def served_elsewhere(base):
+        """A vCPU that a core other than the lowest serves, and when."""
+        changed = min(base.cores)
+        name = next(n for n in base.vcpu_names if changed not in base.home_cores[n])
+        (home,) = base.home_cores[name]
+        return name, home, base.cores[home].service_intervals(name)
+
     def test_parallel_service_rejected_untouched(self):
         # Well-formed columns, but the changed core serves a vCPU that an
         # unchanged core also serves: a structural rejection, typed like
         # the full push's.
         hypercall, sched, base = self.pushed()
-        changed = min(base.cores)
-        name = next(n for n in base.vcpu_names if changed not in base.home_cores[n])
-        payload = self.crafted(
-            hypercall, base, [10_000], [base.vcpu_names.index(name)]
-        )
+        name, _home, _intervals = self.served_elsewhere(base)
+        payload = self.crafted(hypercall, base, [10_000], [0], names=[name])
         serving = sched.table
         pushes = list(hypercall.pushes)
         generation = hypercall.delta_generation
@@ -229,6 +272,34 @@ class TestMalformedDeltaColumns:
         assert hypercall.pushes == pushes
         assert hypercall.delta_generation == generation
         assert hypercall.retired_unactivated == 0
+
+    def test_second_home_without_overlap_is_staged(self):
+        # The same vCPU on the changed core, but only while its kept home
+        # core leaves it idle: staged, with both homes in time order.
+        hypercall, _, base = self.pushed()
+        name, home, intervals = self.served_elsewhere(base)
+        # Its first idle stretch between two allocations on its home core.
+        gap_start, gap_end = next(
+            (end, start)
+            for (_s, end), (start, _e) in zip(intervals, intervals[1:])
+            if start > end
+        )
+        changed = min(base.cores)
+        length = base.length_ns
+        payload = delta_payload(
+            length,
+            [name],
+            hypercall.delta_generation,
+            changed,
+            [gap_start, gap_end, length],
+            [-1, 0, -1],
+        )
+        assert hypercall.push_table_delta(payload).delta
+        staged = hypercall.staged_table
+        assert staged.home_cores[name] == [home, changed]
+        rebuilt = SystemTable(length_ns=length, cores=dict(staged.cores))
+        assert staged.vcpu_names == rebuilt.vcpu_names
+        assert list(staged.home_cores.items()) == list(rebuilt.home_cores.items())
 
 
 class TestDaemonDeltaGating:
