@@ -236,13 +236,16 @@ def vms_from_tiers(
 
 
 def flatten_vcpus(vms: Iterable[VMSpec]) -> List[VCpuSpec]:
-    """Collect all vCPUs of a VM set, validating global name uniqueness."""
-    vcpus: List[VCpuSpec] = []
-    seen = set()
-    for vm in vms:
-        for vcpu in vm.vcpus:
+    """Collect all vCPUs of a VM set, validating global name uniqueness.
+
+    The names are compared in bulk, as one set; only a census with a
+    duplicate is walked, to name its first duplicate in census order.
+    """
+    vcpus = [vcpu for vm in vms for vcpu in vm.vcpus]
+    if len({vcpu.name for vcpu in vcpus}) != len(vcpus):
+        seen = set()
+        for vcpu in vcpus:
             if vcpu.name in seen:
                 raise ConfigurationError(f"duplicate vCPU name {vcpu.name!r}")
             seen.add(vcpu.name)
-            vcpus.append(vcpu)
     return vcpus

@@ -12,15 +12,18 @@ All tests here treat tasks as synchronously released, which is exact for
 sporadic tasks and safely conservative for the offset subtasks produced
 by task splitting.  Demand evaluation is vectorized with numpy since the
 planner may run thousands of these tests while searching for splits.
+Only these tests use numpy, so they import it when first called: a
+process that never splits a vCPU never loads it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 from repro.core.tasks import PeriodicTask
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    import numpy as np
 
 #: Absolute slack (ns) required beyond the demand bound; guards against
 #: pathological zero-slack schedules that the dispatcher could not enforce.
@@ -36,6 +39,8 @@ def _deadline_points(tasks: Sequence[PeriodicTask], horizon: int) -> np.ndarray:
     increases only at deadlines, and ``dbf(t + H) = dbf(t) + U * H <=
     dbf(t) + H`` whenever total utilization is at most one.
     """
+    import numpy as np
+
     points: List[np.ndarray] = []
     for task in tasks:
         deadline = task.deadline
@@ -55,6 +60,8 @@ def demand_bound(tasks: Sequence[PeriodicTask], times: np.ndarray) -> np.ndarray
     cumulative execution of all jobs with both release and deadline
     inside ``[0, t]``.
     """
+    import numpy as np
+
     demand = np.zeros(len(times), dtype=np.int64)
     for task in tasks:
         jobs = (times - task.deadline) // task.period + 1
@@ -82,7 +89,7 @@ def edf_schedulable(
     if len(times) == 0:
         return True
     demand = demand_bound(tasks, times)
-    return bool(np.all(demand + slack_ns <= times))
+    return bool((demand + slack_ns <= times).all())
 
 
 def max_cd_piece(

@@ -199,6 +199,7 @@ def deserialize(payload: bytes) -> SystemTable:
     The one structural check of a full push.  Raises
     :class:`TableFormatError` on a bad magic number or version, a zero
     table length, a truncated payload or bytes after the last record, a
+    name listed twice in the string table (one vCPU under two ids), a
     cpu listed twice, a record that is empty, overlaps its predecessor
     or ends past the table, a vCPU id out of range, slice records that
     disagree with the records, a table length that segment columns
@@ -472,7 +473,8 @@ def _read_names(payload: bytes, offset: int, count: int) -> Tuple[List[str], int
     """The vCPU string table at ``offset``, and the offset after it.
 
     Each name's length is read from its two bytes, and the name decoded
-    from one slice of ``payload``.
+    from one slice of ``payload``.  A name listed twice would give one
+    vCPU two ids, so it is rejected.
     """
     size = len(payload)
     names: List[str] = []
@@ -487,6 +489,8 @@ def _read_names(payload: bytes, offset: int, count: int) -> Tuple[List[str], int
             names.append(payload[start:offset].decode("utf-8"))
         except UnicodeDecodeError as error:
             raise TableFormatError(f"corrupt vCPU name: {error}") from None
+    if len(set(names)) != len(names):
+        raise TableFormatError("a vCPU name is listed twice in the string table")
     return names, offset
 
 
@@ -653,8 +657,6 @@ def deserialize_delta(
     if version != DELTA_VERSION:
         raise TableFormatError(f"unsupported delta-table version {version}")
     names, offset = _read_names(bytes(payload), _HEADER.size, nnames)
-    if len(set(names)) != len(names):
-        raise TableFormatError("a vCPU name is listed twice in the string table")
     columns = _read_columns(view, offset, ncpus, length_ns, len(names))
     return length_ns, names, base_token, columns
 

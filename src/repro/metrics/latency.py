@@ -6,14 +6,15 @@ feature is correcting for *coordinated omission* [66]: latencies are
 measured against the intended (constant-rate) send schedule rather than
 the actual send times, so a stalled server cannot hide queueing delay by
 slowing the load generator down.
+
+Only :func:`summarize_ns` and :func:`percentile_ns` use numpy, so they
+import it when first called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Sequence
-
-import numpy as np
 
 MS = 1_000_000
 
@@ -54,6 +55,8 @@ def summarize_ns(samples: Sequence[float]) -> LatencySummary:
     """Summarize a latency sample set (empty input yields zeros)."""
     if len(samples) == 0:
         return EMPTY_SUMMARY
+    import numpy as np
+
     data = np.asarray(samples, dtype=np.float64)
     return LatencySummary(
         count=int(data.size),
@@ -67,6 +70,8 @@ def summarize_ns(samples: Sequence[float]) -> LatencySummary:
 def percentile_ns(samples: Sequence[float], percentile: float) -> float:
     if len(samples) == 0:
         return 0.0
+    import numpy as np
+
     return float(np.percentile(np.asarray(samples, dtype=np.float64), percentile))
 
 

@@ -102,7 +102,9 @@ class TestFlatten:
         assert names == ["a.vcpu0", "a.vcpu1", "b.vcpu0"]
 
     def test_detects_cross_vm_duplicates(self):
-        vm_a = VMSpec("a", (VCpuSpec("shared", 0.1, MS),))
-        vm_b = VMSpec("b", (VCpuSpec("shared", 0.1, MS),))
-        with pytest.raises(ConfigurationError):
+        # Two names repeat; the error names the first repeat in census
+        # order.
+        vm_a = VMSpec("a", (VCpuSpec("x", 0.1, MS), VCpuSpec("shared", 0.1, MS)))
+        vm_b = VMSpec("b", (VCpuSpec("shared", 0.1, MS), VCpuSpec("x", 0.1, MS)))
+        with pytest.raises(ConfigurationError, match="duplicate vCPU name 'shared'"):
             flatten_vcpus([vm_a, vm_b])

@@ -195,7 +195,8 @@ ENCODERS = {
 
 
 class TestStructuralRejections:
-    """Every decoder rejects a cpu listed twice and bytes after the end."""
+    """Every decoder rejects a cpu or a name listed twice and bytes after
+    the end."""
 
     @pytest.mark.parametrize("kind", sorted(ENCODERS))
     def test_sample_payload_decodes(self, kind):
@@ -214,6 +215,20 @@ class TestStructuralRejections:
         struct.pack_into("<I", payload, at, 0)
         with pytest.raises(TableFormatError, match="listed twice"):
             decode(bytes(payload))
+
+    @pytest.mark.parametrize("kind", sorted(ENCODERS))
+    def test_name_listed_twice_rejected(self, kind):
+        # Rename the second vCPU as the first: before, a full push
+        # decoded to one vCPU served under two ids.
+        encode, decode = ENCODERS[kind]
+        system = sample_system()
+        payload = encode(system)
+        first, second = (
+            struct.pack("<H", len(name)) + name.encode() for name in system.vcpu_names[:2]
+        )
+        assert payload[24:46] == first + second
+        with pytest.raises(TableFormatError, match="listed twice in the string table"):
+            decode(payload[:24] + first + first + payload[46:])
 
     @pytest.mark.parametrize("kind", sorted(ENCODERS))
     @pytest.mark.parametrize("extra", [b"\x00", b"\xff" * 8, bytes(32)])

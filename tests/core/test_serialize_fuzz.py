@@ -135,6 +135,40 @@ def warm_and_cold(payload):
     return warm, verdict(payload)
 
 
+def names_end(payload):
+    """The offset where a 'TBLO' or 'TBLD' payload's string table ends
+    (both headers are 24 bytes, with the name count at offset 16)."""
+    (count,) = struct.unpack_from("<I", payload, 16)
+    offset = 24
+    for _ in range(count):
+        offset += 2 + struct.unpack_from("<H", payload, offset)[0]
+    return offset
+
+
+def with_names(payload, names):
+    """``payload`` with its string table replaced by ``names``; the ids
+    of its records, or the handles of its columns, index the new table."""
+    header = bytearray(payload[:24])
+    struct.pack_into("<I", header, 16, len(names))
+    table = b"".join(struct.pack("<H", len(n.encode())) + n.encode() for n in names)
+    return bytes(header) + table + payload[names_end(payload) :]
+
+
+#: Names a replaced string table draws from: vCPUs of the 44-VM census
+#: (for a 'TBLD' case, a kept core of the base serves them), the ones a
+#: delta carries, a stranger and an empty name.
+NAME_POOL = (
+    "vm00.vcpu0",
+    "vm01.vcpu0",
+    "vm10.vcpu0",
+    "vm43.vcpu0",
+    "new10.vcpu0",
+    "vm44.vcpu0",
+    "ghost",
+    "",
+)
+
+
 class TestWarmCacheAgreesWithCold:
     @given(
         position=st.integers(min_value=0, max_value=1 << 16),
@@ -155,6 +189,41 @@ class TestWarmCacheAgreesWithCold:
         warm, cold = warm_and_cold(payload[: cut % len(payload)])
         assert isinstance(warm, str)
         assert warm == cold
+
+    @given(
+        keep=st.integers(min_value=40, max_value=44),
+        edits=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=45), st.sampled_from(NAME_POOL)),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_string_table_replaced(self, keep, edits):
+        # Names renamed, repeated, dropped or added: the same schedule
+        # under the new names, or a typed rejection, warm and cold alike.
+        # The decoded index walks the cores as the encoder's did, so it
+        # lists the names in string-table order.
+        clean = deserialize(recurring_payload())
+        listed = clean.vcpu_names
+        names = listed[:keep]
+        for at, name in edits:
+            if at < len(names):
+                names[at] = name
+            else:
+                names.append(name)
+        warm, cold = warm_and_cold(with_names(recurring_payload(), names))
+        assert warm == cold
+        if len(set(names)) < len(names):
+            assert warm == "a vCPU name is listed twice in the string table"
+        elif not isinstance(warm, str):
+            rename = {None: None, **dict(zip(listed, names))}
+            vcpu_names, _homes, cores, _bytes = warm
+            assert vcpu_names == [rename[name] for name in listed]
+            for cpu, (allocations, _len, _slices) in cores.items():
+                assert [(a.start, a.end, a.vcpu) for a in allocations] == [
+                    (a.start, a.end, rename[a.vcpu])
+                    for a in clean.cores[cpu].allocations
+                ]
 
     def test_clean_payload(self):
         warm, cold = warm_and_cold(recurring_payload())
@@ -227,38 +296,6 @@ def warm_and_cold_delta(case, payload):
 #: 64-bit words a mutated segment column may take: an idle or a
 #: negative handle, zero, small ids, and times around the table length.
 COLUMN_WORDS = (-2, -1, 0, 1, 7, 50_000_000, 102_702_599, 102_702_600, 1 << 40)
-
-
-def names_end(payload):
-    """The offset where a 'TBLD' payload's string table ends."""
-    (count,) = struct.unpack_from("<I", payload, 16)
-    offset = 24
-    for _ in range(count):
-        offset += 2 + struct.unpack_from("<H", payload, offset)[0]
-    return offset
-
-
-def with_names(payload, names):
-    """``payload`` with its string table replaced by ``names``; the
-    handles of its columns index the new table."""
-    header = bytearray(payload[:24])
-    struct.pack_into("<I", header, 16, len(names))
-    table = b"".join(struct.pack("<H", len(n.encode())) + n.encode() for n in names)
-    return bytes(header) + table + payload[names_end(payload) :]
-
-
-#: Names a replaced 'TBLD' string table draws from: vCPUs a kept core of
-#: the base serves, the carried ones, a stranger and an empty name.
-NAME_POOL = (
-    "vm00.vcpu0",
-    "vm01.vcpu0",
-    "vm10.vcpu0",
-    "vm43.vcpu0",
-    "new10.vcpu0",
-    "vm44.vcpu0",
-    "ghost",
-    "",
-)
 
 
 def with_short_allocation(payload, span_ns):
