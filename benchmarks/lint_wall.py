@@ -4,8 +4,7 @@ The whole-program passes gate every PR in CI, so their wall time is a
 budget of its own.  This script times three configurations of the full
 rule set over ``src/repro``:
 
-* **cold** — no cache: every file parsed, summarized, and run through
-  the AST rules;
+* **cold** — no cache: every file parsed and summarized in one walk;
 * **warm** — second run against a populated content-hash cache: no file
   is parsed, the engine starts from cached summaries;
 * **jobs** — cold run with extraction on a process pool.

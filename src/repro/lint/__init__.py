@@ -8,14 +8,14 @@ Run it as ``tableau-repro lint src/repro`` (human output) or with
 ``--format=json`` for the CI artifact; suppress a finding with a
 ``# repro: allow[rule-id]`` comment plus a justification.
 
-Each file is parsed once and reduced to a summary
+Each file is parsed once and reduced, in one walk, to a summary
 (:mod:`repro.lint.flow.summary`); one engine
-(:mod:`repro.lint.flow.engine`) answers the ``det-*`` (but
-``det-unordered-iter``), ``hot-*``, ``time-*`` and ``lay-import``
-rules as zero-hop queries over each summary's sites, and the
-``flow-*`` rules as fixpoints over the project call graph.  The
-``err-*`` rules and ``det-unordered-iter`` are AST rules
-(:mod:`repro.lint.rules`) run on the same parsed tree.
+(:mod:`repro.lint.flow.engine`) answers the ``det-*``, ``err-*``,
+``hot-*``, ``time-*`` and ``lay-import`` rules as zero-hop queries
+over each summary's sites, and the ``flow-*`` rules as fixpoints over
+the project call graph.  The summary is the one product cached per
+file (:mod:`repro.lint.cache`), and the engine's table is the one
+rule table (:mod:`repro.lint.registry`).
 
 Rule families
 -------------
@@ -40,14 +40,13 @@ Rule families
 from repro.lint.cache import LintCache
 from repro.lint.driver import discover_files, lint_paths, lint_source
 from repro.lint.findings import Finding, LintReport, SuppressionSite
-from repro.lint.registry import Rule, iter_rules, register, rule_ids
+from repro.lint.registry import iter_rules, rule_ids
 from repro.lint.reporters import format_human, format_json, format_suppressions
 
 __all__ = [
     "Finding",
     "LintCache",
     "LintReport",
-    "Rule",
     "SuppressionSite",
     "discover_files",
     "format_human",
@@ -56,6 +55,5 @@ __all__ = [
     "iter_rules",
     "lint_paths",
     "lint_source",
-    "register",
     "rule_ids",
 ]

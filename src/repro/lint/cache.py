@@ -1,10 +1,9 @@
 """Content-hashed incremental cache for the lint driver.
 
 One JSON document maps each linted file to everything the driver would
-otherwise recompute by parsing it: the flow :class:`ModuleSummary`
-(which also carries every site the zero-hop queries read), its
-suppression comments, and the raw (pre-suppression) findings of the
-AST rules.  Entries are keyed by the sha256 of the file's bytes, so a
+otherwise recompute by parsing it: the flow :class:`ModuleSummary`,
+which carries every site any rule reads, and its suppression comments.
+Entries are keyed by the sha256 of the file's bytes, so a
 touched-but-identical file still hits and an edited file misses only
 for itself.  Nothing in an entry depends on another file: the engine's
 queries and passes, which do (a ``*_ns`` parameter declared float in
@@ -12,7 +11,7 @@ one module exempts a keyword argument in another), run on every run
 from the summaries, so no file is opened or parsed on a warm run.
 
 The cache is only consulted on full-rule-set runs; ``--rules`` subsets
-bypass it entirely (their raw findings would poison later full runs).
+bypass it entirely.
 
 Writes are atomic (temp file + ``os.replace``) and any unreadable or
 version-mismatched cache is discarded wholesale.

@@ -1,8 +1,8 @@
-"""Per-module analysis context: AST, module name, suppressions.
+"""Per-module lint context: the module name and the allow-comments.
 
-The driver parses each file once; the flow summary and every AST rule
-read the same :class:`ModuleContext`.  This module also owns the
-suppression protocol (:func:`allow_line`): a violation is silenced by a
+The driver parses each file once and names its module
+(:func:`module_name_for`).  This module owns the suppression protocol
+(:func:`allow_line`): a violation is silenced by a
 ``# repro: allow[rule-id]`` comment either trailing any line of the
 offending statement or on a comment line directly above it.  Multiple
 ids may be listed, comma-separated::
@@ -15,11 +15,9 @@ ids may be listed, comma-separated::
 
 from __future__ import annotations
 
-import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([^\]]*)\]")
@@ -107,23 +105,3 @@ def module_name_for(path: str) -> str:
         dotted = dotted[:-1]
     return ".".join(dotted)
 
-
-@dataclass
-class ModuleContext:
-    """What an AST rule reads of one module: its tree and suppressions."""
-
-    path: str
-    module: str
-    tree: ast.Module
-    suppressions: Dict[int, Set[str]] = field(default_factory=dict)
-
-    @classmethod
-    def from_source(
-        cls, source: str, path: str, module: Optional[str] = None
-    ) -> "ModuleContext":
-        return cls(
-            path=path,
-            module=module_name_for(path) if module is None else module,
-            tree=ast.parse(source, filename=path),
-            suppressions=parse_suppression_comments(source),
-        )

@@ -5,12 +5,11 @@ order-independent), shared by :func:`lint_paths` and
 :func:`lint_source`:
 
 1. **Extract** — every file is parsed once and reduced to its
-   cacheable products: the suppression map, the flow
-   :class:`ModuleSummary`, and the raw (pre-suppression) findings of
-   the AST rules, which run on that same tree.  With a cache attached
-   (``--cache``), files whose content hash matches skip this stage
-   entirely; with ``jobs > 1`` the misses are extracted on a process
-   pool.
+   cacheable products: the suppression map and the flow
+   :class:`ModuleSummary`, whose one walk records every site a rule
+   reads.  With a cache attached (``--cache``), files whose content
+   hash matches skip this stage entirely; with ``jobs > 1`` the misses
+   are extracted on a process pool.
 2. **Engine** — the zero-hop queries read each summary's own sites,
    and the whole-program passes build the call graph from the
    summaries and run their fixpoints (:mod:`repro.lint.flow.engine`).
@@ -24,24 +23,28 @@ order-independent), shared by :func:`lint_paths` and
 
 from __future__ import annotations
 
+import ast
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.cache import LintCache, content_hash
-from repro.lint.context import ModuleContext, allow_line
+from repro.lint.context import (
+    allow_line,
+    module_name_for,
+    parse_suppression_comments,
+)
 from repro.lint.findings import Finding, LintReport, SuppressionSite
 from repro.lint.flow.callgraph import build_call_graph
 from repro.lint.flow.engine import (
     FLOW_RULE_IDS,
-    RULES,
     FloatDeclarations,
     FlowAnalysis,
     site_findings,
 )
 from repro.lint.flow.summary import ModuleSummary, summarize_module
-from repro.lint.registry import Rule, iter_rules
+from repro.lint.registry import iter_rules
 
 #: Directory names never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".mypy_cache", ".ruff_cache"}
@@ -69,16 +72,12 @@ class _FileRecord:
     module: str = ""
     summary: Optional[ModuleSummary] = None
     suppressions: Dict[int, Set[str]] = dc_field(default_factory=dict)
-    #: Raw AST-rule findings (pre-suppression).
-    raw: List[Finding] = dc_field(default_factory=list)
     parse_error: Optional[dict] = None
 
-    def extract(
-        self, source: str, rules: Sequence[Rule], module: Optional[str] = None
-    ) -> None:
-        """Parse once; summarize and run the AST rules on that tree."""
+    def extract(self, source: str, module: Optional[str] = None) -> None:
+        """Parse once and summarize the tree."""
         try:
-            ctx = ModuleContext.from_source(source, self.path, module)
+            tree = ast.parse(source, filename=self.path)
         except SyntaxError as error:
             self.parse_error = {
                 "line": error.lineno or 0,
@@ -86,14 +85,11 @@ class _FileRecord:
                 "message": f"file does not parse: {error.msg}",
             }
             return
-        self.module = ctx.module
-        self.suppressions = ctx.suppressions
+        self.module = module_name_for(self.path) if module is None else module
+        self.suppressions = parse_suppression_comments(source)
         self.summary = summarize_module(
-            ctx.module, self.path, ctx.tree, ctx.suppressions
+            self.module, self.path, tree, self.suppressions
         )
-        for rule in rules:
-            if rule.applies_to(ctx):
-                self.raw.extend(rule.check(ctx))
 
     def to_entry(self) -> dict:
         """The cacheable products (the cache entry and pool result)."""
@@ -106,9 +102,6 @@ class _FileRecord:
         entry["suppressions"] = {
             str(line): sorted(ids) for line, ids in self.suppressions.items()
         }
-        entry["findings"] = [
-            [f.rule_id, f.line, f.col, f.message, f.end_line] for f in self.raw
-        ]
         return entry
 
     def hydrate(self, entry: dict) -> None:
@@ -120,23 +113,14 @@ class _FileRecord:
         self.suppressions = {
             int(line): set(ids) for line, ids in entry["suppressions"].items()
         }
-        self.raw = [
-            Finding(rule_id, self.path, line, col, message, end_line)
-            for rule_id, line, col, message, end_line in entry["findings"]
-        ]
 
 
-def _extract_worker(args: Tuple[str, Tuple[str, ...]]) -> dict:
+def _extract_worker(path: str) -> dict:
     """Process-pool worker (module level for pickling)."""
-    path, rule_ids = args
     record = _FileRecord(path=path)
     with open(path, "r", encoding="utf-8") as handle:
-        record.extract(handle.read(), list(iter_rules(rule_ids)))
+        record.extract(handle.read())
     return record.to_entry()
-
-
-def _ast_rules(selected: Sequence[Rule]) -> List[Rule]:
-    return [rule for rule in selected if rule.id not in RULES]
 
 
 # ----------------------------------------------------------------------
@@ -157,8 +141,7 @@ def lint_paths(
     only.  ``jobs > 1`` extracts cache misses on a process pool.
     """
     files = discover_files(paths)
-    selected = list(iter_rules(rules))
-    ast_rules = _ast_rules(selected)
+    selected = {rule.id for rule in iter_rules(rules)}
     full_run = rules is None
     cache = LintCache.load(cache_path) if (cache_path and full_run) else None
 
@@ -175,15 +158,14 @@ def lint_paths(
             misses.append((record, data))
         records.append(record)
     if jobs > 1 and len(misses) > 1:
-        rule_ids = tuple(rule.id for rule in ast_rules)
-        tasks = [(record.path, rule_ids) for record, _ in misses]
+        tasks = [record.path for record, _ in misses]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = pool.map(_extract_worker, tasks, chunksize=4)
             for (record, _), result in zip(misses, results):
                 record.hydrate(result)
     else:
         for record, data in misses:
-            record.extract(data.decode("utf-8"), ast_rules)
+            record.extract(data.decode("utf-8"))
 
     report = _run(records, selected, detect_stale=full_run)
     if cache is not None:
@@ -210,18 +192,17 @@ def lint_source(
     module (cross-module laundering needs :func:`lint_paths` over a
     package tree), except that no allow is reported stale.
     """
-    selected = list(iter_rules(rules))
+    selected = {rule.id for rule in iter_rules(rules)}
     record = _FileRecord(path=path)
-    record.extract(source, _ast_rules(selected), module)
+    record.extract(source, module)
     return _run([record], selected, detect_stale=False)
 
 
 def _run(
-    records: Sequence[_FileRecord], selected: Sequence[Rule], detect_stale: bool
+    records: Sequence[_FileRecord], selected_ids: Set[str], detect_stale: bool
 ) -> LintReport:
     """The engine and assembly stages over extracted records."""
     report = LintReport()
-    selected_ids = {rule.id for rule in selected}
     summaries = [r.summary for r in records if r.summary is not None]
     decls = FloatDeclarations.collect(summaries)
     flow_results: Dict[str, List[Finding]] = {}
@@ -257,7 +238,7 @@ def _run(
             continue
         report.files_checked += 1
         assert record.summary is not None
-        candidates = record.raw + site_findings(record.summary, decls)
+        candidates = site_findings(record.summary, decls)
         if flow_owner.get(record.module) == record.path:
             candidates.extend(flow_results.get(record.module, ()))
         for finding in candidates:

@@ -2,12 +2,14 @@
 
 Every module is reduced to a serialisable
 :class:`~repro.lint.flow.summary.ModuleSummary` (cached by content hash
-— see :mod:`repro.lint.cache`), and every rule that a summary can
-express is answered from summaries alone.  Zero-hop queries read one
-module's own sites: wall-clock, RNG and environment reads
-(``det-*``), allocation inside ``@hotpath`` bodies (``hot-*``), float
-and unit-suffixed values landing in ``*_ns`` names (``time-*``), and
-imports against the layer diagram (``lay-import``).  A value laundered
+— see :mod:`repro.lint.cache`), and every rule is answered from
+summaries alone.  Zero-hop queries read one module's own sites:
+wall-clock, RNG and environment reads and set iteration (``det-*``),
+bare and swallowing handlers, unprotected registry mutations and
+truncating writes (``err-*``), allocation inside ``@hotpath`` bodies
+(``hot-*``), float and unit-suffixed values landing in ``*_ns`` names
+(``time-*``), and imports against the layer diagram
+(``lay-import``).  A value laundered
 through a call — a wall-clock read returned by a helper, a float
 reaching nanosecond arithmetic two frames up, an allocating function
 *called from* ``@hotpath`` code, an effect the journal never covered —
@@ -37,9 +39,8 @@ resolves call sites to a project
 :class:`~repro.lint.flow.callgraph.CallGraph` (methods via
 class-hierarchy analysis, ``functools.partial`` edges where the target
 is nameable); :mod:`.engine` answers the zero-hop queries and runs the
-fixpoints; :mod:`.rules` registers every engine rule from the engine's
-one table, so selection, suppression, and reporting work exactly as
-for the AST rules.
+fixpoints, and lists every rule in its one table
+(:mod:`repro.lint.registry` reads it for selection and reporting).
 """
 
 from repro.lint.flow.callgraph import CallGraph, build_call_graph

@@ -1,18 +1,27 @@
 """The lint engine: zero-hop queries and whole-program fixpoints.
 
-Every rule this module answers reads module summaries
-(:mod:`repro.lint.flow.summary`), never an AST, so warm runs start
-from the cache without opening a file.  :data:`RULES` lists them; each
-registers from that table (:mod:`repro.lint.flow.rules`), so
-``--rules`` selection, allow-comments and the reporters treat them
-like any other rule.
+Every rule reads module summaries (:mod:`repro.lint.flow.summary`),
+never an AST, so warm runs start from the cache without opening a
+file.  :data:`RULES` lists them; the rule table
+(:mod:`repro.lint.registry`) is built from it, so ``--rules``
+selection, allow-comments and the reporters read one table.
 
-Zero-hop queries (:func:`site_findings`) read one summary's own sites:
+Zero-hop queries (:func:`site_findings`) read one summary's own sites,
+each in the packages its :data:`SITE_RULES` entry names:
 
 ``det-wallclock`` / ``det-unseeded-rng`` / ``det-env-branch``
     Wall-clock reads, global-RNG draws (and ``from time|random``
     imports of them), and environment probes in any scope of a module
     inside the deterministic packages.
+``det-unordered-iter``
+    Iteration over a set (a literal, ``set()``, set algebra, or a name
+    the scope bound to one) and bare ``dict.popitem()``, in the same
+    packages.
+``err-*``
+    Bare ``except:`` and handlers that swallow a ``ReproError``
+    anywhere; in ``repro.xen``, a fallible control-plane call after a
+    registry mutation that no re-raising ``try`` protects; in
+    ``repro.service`` and ``repro.campaign``, truncating file writes.
 ``hot-*``
     Comprehensions, closures and lambdas, f-strings, and ``*``/``**``
     packing in the body of every ``@hotpath`` function, nested kernels
@@ -102,6 +111,36 @@ RULES: Dict[str, Tuple[str, str]] = {
         "Scheduling code must not branch on the process environment "
         "(os.environ, os.cpu_count, platform, hostname).",
     ),
+    "det-unordered-iter": (
+        "determinism",
+        "Iterating a set (hash order, varies with PYTHONHASHSEED) or "
+        "popping dict items positionally must not feed scheduling "
+        "decisions; iterate sorted(...) or keep a list.",
+    ),
+    "err-bare-except": (
+        "error-handling",
+        "bare `except:` catches KeyboardInterrupt/SystemExit and hides "
+        "programming errors; name the exceptions.",
+    ),
+    "err-swallowed-error": (
+        "error-handling",
+        "an except handler that catches a ReproError and does nothing "
+        "hides control-plane failures from the audit trail.",
+    ),
+    "err-registry-rollback": (
+        "error-handling",
+        "in repro.xen, a registry mutation followed by a fallible "
+        "control-plane call needs a rollback handler (try/except that "
+        "restores and re-raises).",
+    ),
+    "err-nonatomic-write": (
+        "error-handling",
+        "in the persistence-bearing packages, truncating file writes "
+        "(open mode 'w'/'x', Path.write_bytes/write_text) tear durable "
+        "state when the process dies mid-write; use "
+        "repro.core.atomicio.atomic_write_bytes/_text (temp file + "
+        "atomic os.replace).  Append-mode opens are exempt.",
+    ),
     "hot-comprehension": (
         "hot-path",
         "@hotpath functions must not build comprehensions or generator "
@@ -190,80 +229,112 @@ FLOW_RULE_IDS = frozenset(
     rule_id for rule_id, (family, _) in RULES.items() if family == "flow"
 )
 
-#: Zero-hop site kind -> (rule id, message template).  ``{what}`` and
-#: ``{within}`` are the site's own fields; ``{where}`` names the
-#: ``*_ns`` target of a value flow.
-SITE_RULES: Dict[str, Tuple[str, str]] = {
+#: Packages the ``err-registry-rollback`` and ``err-nonatomic-write``
+#: rules read.
+ROLLBACK_SCOPE = ("repro.xen",)
+DURABLE_SCOPE = ("repro.service", "repro.campaign")
+
+#: Zero-hop site kind -> (rule id, message template, package scope).
+#: ``{what}`` and ``{within}`` are the site's own fields; ``{where}``
+#: names the ``*_ns`` target of a value flow.  A site fires only in a
+#: module inside its scope; an empty scope is every module.
+SITE_RULES: Dict[str, Tuple[str, str, Tuple[str, ...]]] = {
     "wallclock": (
         "det-wallclock",
         "wall-clock read {what}(); simulated components must take time "
         "from SimEngine.now",
+        DETERMINISM_SCOPE,
     ),
     "wallclock-import": (
         "det-wallclock",
         "importing wall-clock function(s) {what} from time into "
         "scheduling code",
+        DETERMINISM_SCOPE,
     ),
     "rng": (
         "det-unseeded-rng",
         "call to global RNG {what}(); scheduling decisions must use a "
         "seeded random.Random instance",
+        DETERMINISM_SCOPE,
     ),
     "numpy-rng": (
         "det-unseeded-rng",
         "call to numpy global RNG {what}(); use numpy.random.default_rng(seed)",
+        DETERMINISM_SCOPE,
     ),
     "rng-import": (
         "det-unseeded-rng",
         "importing global-RNG function(s) {what} from random; construct a "
         "seeded random.Random(seed) instead",
+        DETERMINISM_SCOPE,
     ),
     "env": (
         "det-env-branch",
         "environment-dependent value {what} in scheduling code; behaviour "
         "must not vary across hosts",
+        DETERMINISM_SCOPE,
+    ),
+    "set-iteration": (
+        "det-unordered-iter",
+        "iteration over a set has hash-dependent order; wrap in sorted(...) "
+        "or use an ordered container",
+        DETERMINISM_SCOPE,
+    ),
+    "popitem": (
+        "det-unordered-iter",
+        "bare dict.popitem() feeding scheduling state; pop an explicit key "
+        "(or OrderedDict.popitem(last=False))",
+        DETERMINISM_SCOPE,
     ),
     "comprehension": (
         "hot-comprehension",
         "{what} inside @hotpath {within}(); hoist the allocation out of "
         "the dispatch path or use an explicit loop over a preallocated "
         "container",
+        (),
     ),
     "closure": (
         "hot-closure",
         "nested function {what} inside @hotpath {within}(); bind callbacks "
         "once at assembly (see _Cpu.resched_cb) instead of per decision",
+        (),
     ),
     "fstring": (
         "hot-fstring",
         "f-string inside @hotpath {within}(); format lazily or precompute "
         "the string",
+        (),
     ),
     "star-signature": (
         "hot-star-args",
         "@hotpath {within}() declares {what}; hot entry points take a "
         "fixed signature",
+        (),
     ),
     "star-call": (
         "hot-star-args",
         "*-unpacking in a call inside @hotpath {within}(); pass arguments "
         "positionally",
+        (),
     ),
     "double-star-call": (
         "hot-star-args",
         "**-unpacking in a call inside @hotpath {within}(); pass arguments "
         "explicitly",
+        (),
     ),
     "float-ns": (
         "time-float-ns",
         "float value flows into {where}; nanosecond clock values are "
         "integers — annotate ': float' if this is a measured quantity, or "
         "convert with int(...)",
+        (),
     ),
     "truediv-ns": (
         "time-truediv-ns",
         "true division flows into {where}; use // (or an explicit int(...) "
         "cast) so the event clock stays integral",
+        (),
     ),
     "lossy-div-ns": (
         "time-lossy-div-ns",
@@ -271,11 +342,46 @@ SITE_RULES: Dict[str, Tuple[str, str]] = {
         "product exceeds float precision before the divide — convert once "
         "with repro.core.seconds_to_ns (or int multiplication) and split "
         "with //",
+        (),
     ),
     "unit-mismatch": (
         "time-unit-mismatch",
         "{what} passed to nanosecond parameter {within}=; convert the unit "
         "explicitly",
+        (),
+    ),
+    "bare-except": (
+        "err-bare-except",
+        "bare except: catches everything including KeyboardInterrupt; name "
+        "the exception types",
+        (),
+    ),
+    "swallowed-error": (
+        "err-swallowed-error",
+        "handler swallows {what} without recording, re-raising, or "
+        "compensating; failures must stay observable (log/append/raise)",
+        (),
+    ),
+    "unprotected-call": (
+        "err-registry-rollback",
+        "{what}() may raise, but the {within} has no rollback handler; "
+        "wrap the fallible call in try/except that restores the registry "
+        "and re-raises",
+        ROLLBACK_SCOPE,
+    ),
+    "truncating-open": (
+        "err-nonatomic-write",
+        "open() with truncating mode {what!r} can tear this file if the "
+        "process dies mid-write; write through repro.core.atomicio."
+        "atomic_write_bytes/_text, or append (mode 'a') if this file is a "
+        "log/journal",
+        DURABLE_SCOPE,
+    ),
+    "path-write": (
+        "err-nonatomic-write",
+        ".{what}() truncates in place (torn file on crash); write through "
+        "repro.core.atomicio.atomic_write_bytes/_text",
+        DURABLE_SCOPE,
     ),
 }
 
@@ -335,15 +441,13 @@ _NS_FLOWS = {"float-ns", "truediv-ns", "lossy-div-ns"}
 def site_findings(summary: ModuleSummary, decls: FloatDeclarations) -> List[Finding]:
     """The zero-hop rules over one module: each site read on its own."""
     module = summary.module
-    deterministic = in_package(module, DETERMINISM_SCOPE)
     findings: List[Finding] = []
     for site in summary.sites:
-        rule_id, template = SITE_RULES[site.kind]
+        rule_id, template, scope = SITE_RULES[site.kind]
+        if scope and not in_package(module, scope):
+            continue
         where = ""
-        if rule_id.startswith("det-"):
-            if not deterministic:
-                continue
-        elif site.kind in _NS_FLOWS:
+        if site.kind in _NS_FLOWS:
             if decls.exempts(_owner(summary), site.what, site.within):
                 continue
             if site.within.startswith("kwarg:"):

@@ -7,8 +7,10 @@ trippable records.  Two walks produce it:
   sites the zero-hop rules read (wall-clock, RNG and environment
   probes; allocation constructs inside ``@hotpath`` bodies; values
   landing in ``*_ns`` names; unit-suffixed arguments to ``*_ns``
-  parameters), every import, and the ``*_ns`` parameters and names
-  declared ``float``;
+  parameters; set iteration and bare ``popitem()``; bare and
+  swallowing ``except`` handlers; registry mutations a fallible call
+  could strand; truncating writes), every import, and the ``*_ns``
+  parameters and names declared ``float``;
 * a per-function extraction records what the whole-program passes
   need: the calls each function makes (with enough reference structure
   to resolve later), taint sources, allocation sites, self-state
@@ -35,7 +37,8 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.lint.context import allow_line
 from repro.lint.patterns import (
@@ -46,9 +49,6 @@ from repro.lint.patterns import (
     SEEDED_CONSTRUCTORS,
     WALLCLOCK_FLOAT_SUFFIXES,
     WALLCLOCK_NAMES,
-    annotation_category,
-    dotted_path,
-    has_marker,
     is_ns_name,
     matches_suffix,
     taint_kind_of_attr,
@@ -56,7 +56,7 @@ from repro.lint.patterns import (
 )
 
 #: Bump when the summary schema changes so stale caches self-invalidate.
-SUMMARY_VERSION = 4
+SUMMARY_VERSION = 5
 
 #: Calls that make an integer out of anything (unit-boundary casts).
 _INT_CASTS = {"int", "round", "floor", "ceil"}
@@ -89,6 +89,85 @@ _MUTATING_METHODS = {
     "append", "extend", "insert", "add", "update", "pop", "popitem",
     "remove", "discard", "clear", "setdefault", "appendleft",
 }
+
+#: The repo's error hierarchy (repro.errors) plus the stdlib roots a
+#: handler could hide it behind (``err-swallowed-error``).
+_REPRO_ERRORS = {
+    "ReproError", "ConfigurationError", "SimulationError", "PlanningError",
+    "AdmissionError", "TableFormatError", "TablePushError",
+    "InvariantViolation", "Exception", "BaseException",
+}
+
+#: Receiver names that hold control-plane registries, the methods that
+#: mutate one, and the control-plane calls documented to raise
+#: ReproError subclasses (``err-registry-rollback``).
+_REGISTRY_NAMES = {"registry", "_domains", "_staged", "_retired_tables"}
+_REGISTRY_MUTATORS = {
+    "add", "remove", "replace", "restore", "clear", "update", "pop",
+    "popitem", "setdefault", "append",
+}
+_FALLIBLE = {
+    "replan", "plan", "push_table", "push_system_table", "rotate_table",
+    "create_vm", "destroy_vm", "reconfigure_vm",
+}
+
+#: ``Path`` convenience writers that truncate in place: no temp file,
+#: no rename, so a crash mid-call tears the destination
+#: (``err-nonatomic-write``).
+_PATH_WRITERS = {"write_bytes", "write_text"}
+
+#: Calls that iterate their first argument in its own order; sorted(),
+#: len(), min(), max() and sum() are order-safe (``det-unordered-iter``).
+_ITERATING_CALLS = {"list", "tuple", "iter", "enumerate"}
+#: Set algebra (union, intersection, differences) stays a set.
+_SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+
+
+#: Annotation spellings that mean "integer nanoseconds on the clock".
+_INT_ANNOTATIONS = {"int", "Nanoseconds"}
+
+
+def annotation_category(annotation: Optional[ast.expr]) -> Optional[str]:
+    """Classify an annotation as float-intent, int-intent, or unknown."""
+    if annotation is None:
+        return None
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)  # string annotations (``"float"``)
+    if "float" in names:
+        return FLOAT_DECLARED
+    if names & _INT_ANNOTATIONS:
+        return INT_DECLARED
+    return None
+
+
+def dotted_path(node: ast.expr) -> str:
+    """Flatten ``a.b.c`` attribute chains to a dotted string ('' if not)."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return ""
+
+
+def has_marker(node: ast.AST, marker: str) -> bool:
+    """True when a function def carries decorator ``@marker`` (bare,
+    called, or attribute-qualified)."""
+    for decorator in getattr(node, "decorator_list", ()):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name) and target.id == marker:
+            return True
+        if isinstance(target, ast.Attribute) and target.attr == marker:
+            return True
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -207,9 +286,10 @@ class Site:
     ``kind`` keys the rule and its message (``engine.SITE_RULES``).
     ``what`` names the offending thing.  ``within`` is its context: the
     enclosing ``@hotpath`` function of a ``hot-*`` site, the parameter
-    a unit-suffixed value is passed to, or how a value lands in a
+    a unit-suffixed value is passed to, how a value lands in a
     ``*_ns`` name (``assign``, ``annotated`` for an assignment annotated
-    integer, or ``kwarg:<callee>``).  The position spans the offending
+    integer, or ``kwarg:<callee>``), or the registry mutation a
+    fallible call could strand.  The position spans the offending
     node.
     """
 
@@ -289,7 +369,8 @@ class ModuleSummary:
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
-    #: Every scope's zero-hop sites, in ``ast.walk`` order.
+    #: Every scope's zero-hop sites, each rule's in the order it reports
+    #: them.
     sites: List[Site] = field(default_factory=list)
     import_sites: List[ImportSite] = field(default_factory=list)
     #: ``[callable or class name, parameter]`` pairs of ``*_ns``
@@ -378,7 +459,7 @@ def summarize_module(
         is_package=path.replace("\\", "/").endswith("/__init__.py"),
     )
     suppressions = suppressions or {}
-    _walk_module(tree, summary)
+    _ModuleWalk(summary).run(tree)
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             _add_function(summary, node, cls="", suppressions=suppressions)
@@ -397,6 +478,18 @@ _ASSIGNS = (ast.Assign, ast.AugAssign, ast.AnnAssign)
 #: Last components of the environment probes: only attributes ending in
 #: one of these can match :data:`ENV_SUFFIXES`.
 _ENV_ATTRS = frozenset(suffix.rsplit(".", 1)[-1] for suffix in ENV_SUFFIXES)
+#: Node types no rule reads, with nothing a rule reads below them: the
+#: walk does not queue them.
+_INERT = frozenset(
+    [ast.Name, ast.Constant, ast.alias]
+    + [
+        kind
+        for base in (
+            ast.expr_context, ast.operator, ast.boolop, ast.unaryop, ast.cmpop
+        )
+        for kind in base.__subclasses__()
+    ]
+)
 
 
 def _site(kind: str, what: str, node: ast.AST, within: str = "") -> Site:
@@ -411,127 +504,394 @@ def _site(kind: str, what: str, node: ast.AST, within: str = "") -> Site:
     )
 
 
-def _walk_module(tree: ast.Module, summary: ModuleSummary) -> None:
+#: A node's context in the walk: ``(hot, defs, scope, anchor)``.
+#:
+#: * ``hot``: the ``@hotpath`` functions whose body holds the node,
+#:   outermost first, so a site inside a nested kernel is recorded
+#:   once for every marked function around it;
+#: * ``defs``: every ``def`` around it, header included, as indexes
+#:   into ``_ModuleWalk.defs`` (a function's registry events are read
+#:   with its nested defs');
+#: * ``scope``: the set-binding scope it belongs to, an index into
+#:   ``_ModuleWalk.scopes``: the module with its class bodies, or one
+#:   ``def`` body; ``-1`` inside a lambda or a ``def`` header, which
+#:   ``det-unordered-iter`` does not read;
+#: * ``anchor``: inside a class's decorators, the class's end position
+#:   (``det-unordered-iter`` reads a class's decorators after its body).
+_Context = Tuple[Tuple[str, ...], Tuple[int, ...], int, Optional[Tuple[int, int]]]
+
+
+class _ModuleWalk:
     """Record the zero-hop sites, imports and float declarations.
 
     One breadth-first walk in ``ast.walk`` order that, unlike the
     function extraction, reaches every scope: module and class bodies,
-    nested ``def``\\s and lambdas.  Each node carries the ``@hotpath``
-    functions whose body holds it, outermost first, so a site inside a
-    nested kernel is recorded once for every marked function around it.
+    nested ``def``\\s and lambdas.  Most sites are recorded where the
+    walk meets them.  Two rules need a whole scope first, so
+    :meth:`run` ends by deciding them:
+
+    * ``det-unordered-iter`` reads a scope's statements in source
+      order, tracking which names are bound to sets; the walk records
+      each scope's set bindings and the expressions it iterates, keyed
+      by position, and replays them in that order;
+    * ``err-registry-rollback`` reads a function's registry mutations
+      and fallible calls in line order, against the spans of the
+      ``try`` bodies whose handlers re-raise.  A nested def's events
+      count for every def around it, and a call is reported once, by
+      the innermost def that flags it.
     """
-    guarded: List[Tuple[int, int]] = []
-    queue: deque = deque([(tree, ())])
-    while queue:
-        node, hot = queue.popleft()
-        body_hot = hot
-        if isinstance(node, ast.Call):
-            _call_sites(summary, node, hot)
-        elif isinstance(node, ast.Attribute):
-            if node.attr in _ENV_ATTRS:
-                path = dotted_path(node)
-                if taint_kind_of_attr(path):
-                    summary.sites.append(_site("env", path, node))
-        elif isinstance(node, _ASSIGNS):
-            _assign_sites(summary, node)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            _import_sites(summary, node)
-        elif isinstance(node, ast.If):
-            if _type_checking_only(node.test):
-                # The body only: an ``else:`` branch runs at import time.
-                last = node.body[-1]
-                guarded.append((node.body[0].lineno, last.end_lineno or last.lineno))
-        elif isinstance(node, _FUNCTIONS):
-            body_hot = _function_sites(summary, node, hot)
-        elif isinstance(node, ast.ClassDef):
-            for statement in node.body:
-                if isinstance(statement, ast.AnnAssign):
-                    name = _terminal_name(statement.target)
-                    if _float_ns(name, statement.annotation):
-                        summary.float_params.append([node.name, name])
-        elif hot:
-            if isinstance(node, _COMPREHENSIONS):
-                kind, what = "comprehension", type(node).__name__
+
+    def __init__(self, summary: ModuleSummary) -> None:
+        self.summary = summary
+        self.sites = summary.sites
+        #: Line spans of ``if TYPE_CHECKING:`` bodies.
+        self.guarded: List[Tuple[int, int]] = []
+        #: Per scope: ``(position, rank, names, shape, node)`` for each
+        #: set binding (rank 0; ``names`` bound to ``shape``) and each
+        #: iterated expression that may be a set (rank 1).
+        self.scopes: List[List[tuple]] = [[]]
+        #: Per def, in walk order: its ``(line, kind, name, node)``
+        #: registry events and its re-raising ``try`` body spans.
+        self.defs: List[Tuple[List[tuple], List[Tuple[int, int]]]] = []
+        #: ``popitem()`` sites.  They follow the set-iteration sites, so
+        #: ``list(s).popitem()`` reports the iteration first.
+        self.popitems: List[Site] = []
+
+    def run(self, tree: ast.Module) -> None:
+        queue: deque = deque([(tree, ((), (), 0, None))])
+        while queue:
+            node, context = queue.popleft()
+            hot, defs, scope, anchor = context
+            body = rest = context
+            decorators = None
+            if isinstance(node, ast.Call):
+                self._call(node, context)
+            elif isinstance(node, ast.Attribute):
+                if node.attr in _ENV_ATTRS:
+                    path = dotted_path(node)
+                    if taint_kind_of_attr(path):
+                        self.sites.append(_site("env", path, node))
+            elif isinstance(node, _ASSIGNS):
+                _assign_sites(self.summary, node)
+                if isinstance(node, ast.Assign):
+                    if scope >= 0:
+                        self._bind(scope, node)
+                    if defs:
+                        self._registry_target(defs, node, node.targets)
+                elif defs and isinstance(node, ast.AugAssign):
+                    self._registry_target(defs, node, [node.target])
+            elif isinstance(node, ast.Delete):
+                if defs:
+                    self._registry_target(defs, node, node.targets)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                _import_sites(self.summary, node)
+            elif isinstance(node, ast.If):
+                if _type_checking_only(node.test):
+                    # The body only: an ``else:`` branch runs at import time.
+                    last = node.body[-1]
+                    self.guarded.append(
+                        (node.body[0].lineno, last.end_lineno or last.lineno)
+                    )
+            elif isinstance(node, (ast.For, ast.AsyncFor)):
+                if scope >= 0:
+                    self._iterates(scope, anchor, node, node.iter)
+            elif isinstance(node, ast.Try):
+                if defs:
+                    self._rollback_span(defs, node)
+            elif isinstance(node, ast.ExceptHandler):
+                self._handler(node)
+            elif isinstance(node, _FUNCTIONS):
+                body, rest = self._function(node, context)
+            elif isinstance(node, ast.ClassDef):
+                for statement in node.body:
+                    if isinstance(statement, ast.AnnAssign):
+                        name = _terminal_name(statement.target)
+                        if _float_ns(name, statement.annotation):
+                            self.summary.float_params.append([node.name, name])
+                end = (node.end_lineno or node.lineno, node.end_col_offset or 0)
+                decorators = (hot, defs, scope, end)
             elif isinstance(node, ast.Lambda):
-                kind, what = "closure", "<lambda>"
-            elif isinstance(node, ast.JoinedStr):
-                kind, what = "fstring", ""
-            else:
-                kind = ""
-            if kind:
-                summary.sites.extend(_site(kind, what, node, fn) for fn in hot)
-        for name, value in ast.iter_fields(node):
-            inner = body_hot if name == "body" else hot
-            if isinstance(value, list):
-                for item in value:
-                    if isinstance(item, ast.AST):
-                        queue.append((item, inner))
-            elif isinstance(value, ast.AST):
-                queue.append((value, inner))
-    for record in summary.import_sites:
-        record.type_checking = any(
-            start <= record.line <= end for start, end in guarded
-        )
-
-
-def _function_sites(
-    summary: ModuleSummary, node: ast.FunctionDef, hot: Tuple[str, ...]
-) -> Tuple[str, ...]:
-    """A def's float parameters and hot sites; the ``hot`` of its body."""
-    args = node.args
-    for arg in args.posonlyargs + args.args + args.kwonlyargs:
-        if _float_ns(arg.arg, arg.annotation):
-            summary.float_params.append([node.name, arg.arg])
-    summary.sites.extend(_site("closure", node.name, node, fn) for fn in hot)
-    if not has_marker(node, "hotpath"):
-        return hot
-    for star, arg in (("*", args.vararg), ("**", args.kwarg)):
-        if arg is not None:
-            summary.sites.append(
-                _site("star-signature", star + arg.arg, node, node.name)
+                self.sites.extend(_site("closure", "<lambda>", node, fn) for fn in hot)
+                body = rest = (hot, defs, -1, anchor)
+            elif isinstance(node, _COMPREHENSIONS):
+                what = type(node).__name__
+                self.sites.extend(_site("comprehension", what, node, fn) for fn in hot)
+                if scope >= 0:
+                    self._iterates(scope, anchor, node, node.generators[0].iter)
+            elif hot and isinstance(node, ast.JoinedStr):
+                self.sites.extend(_site("fstring", "", node, fn) for fn in hot)
+            for name, value in ast.iter_fields(node):
+                if name == "body":
+                    inner = body
+                elif name == "decorator_list" and decorators is not None:
+                    inner = decorators
+                else:
+                    inner = rest
+                if isinstance(value, list):
+                    for item in value:
+                        if isinstance(item, ast.AST) and type(item) not in _INERT:
+                            queue.append((item, inner))
+                elif isinstance(value, ast.AST) and type(value) not in _INERT:
+                    queue.append((value, inner))
+        for record in self.summary.import_sites:
+            record.type_checking = any(
+                start <= record.line <= end for start, end in self.guarded
             )
-    return hot + (node.name,)
+        self._set_iteration_sites()
+        self.sites.extend(self.popitems)
+        self._rollback_sites()
 
+    # -- node kinds ----------------------------------------------------
 
-def _call_sites(
-    summary: ModuleSummary, node: ast.Call, hot: Tuple[str, ...]
-) -> None:
-    path = dotted_path(node.func)
-    kind = taint_kind_of_call(path)
-    if kind == "wallclock":
-        summary.sites.append(_site("wallclock", path, node))
-    elif kind == "rng":
-        global_rng = path.startswith("random.")
-        summary.sites.append(
-            _site("rng" if global_rng else "numpy-rng", path, node)
-        )
-    callee = _terminal_name(node.func) or ""
-    for keyword in node.keywords:
-        if keyword.arg is None or not is_ns_name(keyword.arg):
-            continue
-        _ns_flow_sites(
-            summary, keyword.value, keyword.arg, f"kwarg:{callee}", keyword.value
-        )
-        source = _terminal_name(keyword.value)
-        suffix = _unit_suffix(source)
-        if suffix:
-            summary.sites.append(
-                _site(
-                    "unit-mismatch",
-                    f"{source} (unit suffix {suffix!r})",
-                    keyword.value,
-                    keyword.arg,
-                )
-            )
-    for fn in hot:
-        for arg in node.args:
-            if isinstance(arg, ast.Starred):
-                summary.sites.append(_site("star-call", "", arg, fn))
+    def _function(
+        self, node: ast.FunctionDef, context: _Context
+    ) -> Tuple[_Context, _Context]:
+        """A def's float parameters and hot sites; its body's and its
+        header's contexts."""
+        hot, defs, _, _ = context
+        summary = self.summary
+        args = node.args
+        for arg in args.posonlyargs + args.args + args.kwonlyargs:
+            if _float_ns(arg.arg, arg.annotation):
+                summary.float_params.append([node.name, arg.arg])
+        self.sites.extend(_site("closure", node.name, node, fn) for fn in hot)
+        body_hot = hot
+        if has_marker(node, "hotpath"):
+            for star, arg in (("*", args.vararg), ("**", args.kwarg)):
+                if arg is not None:
+                    self.sites.append(
+                        _site("star-signature", star + arg.arg, node, node.name)
+                    )
+            body_hot = hot + (node.name,)
+        defs = defs + (len(self.defs),)
+        self.defs.append(([], []))
+        self.scopes.append([])
+        return (body_hot, defs, len(self.scopes) - 1, None), (hot, defs, -1, None)
+
+    def _call(self, node: ast.Call, context: _Context) -> None:
+        hot, defs, scope, anchor = context
+        func = node.func
+        path = dotted_path(func)
+        kind = taint_kind_of_call(path)
+        if kind == "wallclock":
+            self.sites.append(_site("wallclock", path, node))
+        elif kind == "rng":
+            global_rng = path.startswith("random.")
+            self.sites.append(_site("rng" if global_rng else "numpy-rng", path, node))
+        callee = _terminal_name(func) or ""
         for keyword in node.keywords:
-            if keyword.arg is None:
-                summary.sites.append(
-                    _site("double-star-call", "", keyword.value, fn)
+            if keyword.arg is None or not is_ns_name(keyword.arg):
+                continue
+            _ns_flow_sites(
+                self.summary, keyword.value, keyword.arg, f"kwarg:{callee}",
+                keyword.value,
+            )
+            source = _terminal_name(keyword.value)
+            suffix = _unit_suffix(source)
+            if suffix:
+                self.sites.append(
+                    _site(
+                        "unit-mismatch",
+                        f"{source} (unit suffix {suffix!r})",
+                        keyword.value,
+                        keyword.arg,
+                    )
                 )
+        for fn in hot:
+            for arg in node.args:
+                if isinstance(arg, ast.Starred):
+                    self.sites.append(_site("star-call", "", arg, fn))
+            for keyword in node.keywords:
+                if keyword.arg is None:
+                    self.sites.append(_site("double-star-call", "", keyword.value, fn))
+        if isinstance(func, ast.Name):
+            if func.id == "open":
+                bad = sorted(m for m in _open_modes(node) if "w" in m or "x" in m)
+                if bad:
+                    self.sites.append(_site("truncating-open", bad[0], node))
+            elif scope >= 0 and func.id in _ITERATING_CALLS and node.args:
+                self._iterates(scope, anchor, node, node.args[0])
+        elif isinstance(func, ast.Attribute):
+            if func.attr in _PATH_WRITERS:
+                self.sites.append(_site("path-write", func.attr, node))
+            elif func.attr == "popitem" and not node.args and not node.keywords:
+                self.popitems.append(_site("popitem", "", node))
+        if defs:
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in _REGISTRY_MUTATORS
+                and _terminal_name(func.value) in _REGISTRY_NAMES
+            ):
+                mutated = f"{_terminal_name(func.value)}.{func.attr}"
+                self._registry_event(defs, node, "mutate", mutated)
+            elif callee in _FALLIBLE:
+                self._registry_event(defs, node, "call", callee)
+
+    def _handler(self, node: ast.ExceptHandler) -> None:
+        if node.type is None:
+            self.sites.append(_site("bare-except", "", node))
+            return
+        caught = _caught_names(node.type) & _REPRO_ERRORS
+        if caught and _handler_does_nothing(node.body):
+            self.sites.append(_site("swallowed-error", ", ".join(sorted(caught)), node))
+
+    # -- det-unordered-iter ----------------------------------------------
+
+    def _bind(self, scope: int, node: ast.Assign) -> None:
+        names = tuple(t.id for t in node.targets if isinstance(t, ast.Name))
+        if names:
+            position = (node.lineno, node.col_offset)
+            shape = _set_shape(node.value)
+            self.scopes[scope].append((position, 0, names, shape, node))
+
+    def _iterates(
+        self,
+        scope: int,
+        anchor: Optional[Tuple[int, int]],
+        node: Union[ast.stmt, ast.expr],
+        iterated: ast.expr,
+    ) -> None:
+        shape = _set_shape(iterated)
+        if shape[0] or shape[1]:
+            position = anchor or (node.lineno, node.col_offset)
+            self.scopes[scope].append((position, 1, (), shape, node))
+
+    def _set_iteration_sites(self) -> None:
+        """Replay each scope's bindings and iterations in source order.
+
+        A statement is read before the expressions inside it, so at one
+        position a binding comes first.
+        """
+        for events in self.scopes:
+            set_names: Set[str] = set()
+            for _, rank, names, shape, node in sorted(events, key=itemgetter(0, 1)):
+                if rank == 0:
+                    for name in names:
+                        if _is_set(shape, set_names):
+                            set_names.add(name)
+                        else:
+                            set_names.discard(name)
+                elif _is_set(shape, set_names):
+                    self.sites.append(_site("set-iteration", "", node))
+
+    # -- err-registry-rollback -------------------------------------------
+
+    def _registry_target(
+        self, defs: Tuple[int, ...], node: ast.stmt, targets: List[ast.expr]
+    ) -> None:
+        for target in targets:
+            inner = target.value if isinstance(target, ast.Subscript) else target
+            if isinstance(inner, ast.Attribute) and inner.attr in _REGISTRY_NAMES:
+                self._registry_event(defs, node, "mutate", inner.attr)
+                return
+
+    def _registry_event(
+        self, defs: Tuple[int, ...], node: ast.AST, kind: str, name: str
+    ) -> None:
+        event = (node.lineno, kind, name, node)  # type: ignore[attr-defined]
+        for index in defs:
+            self.defs[index][0].append(event)
+
+    def _rollback_span(self, defs: Tuple[int, ...], node: ast.Try) -> None:
+        reraises = any(
+            isinstance(child, ast.Raise)
+            for handler in node.handlers
+            for child in ast.walk(handler)
+        )
+        if reraises:
+            last = node.body[-1]
+            span = (node.body[0].lineno, last.end_lineno or last.lineno)
+            for index in defs:
+                self.defs[index][1].append(span)
+
+    def _rollback_sites(self) -> None:
+        flagged: List[Tuple[ast.AST, str, str]] = []
+        for events, protected in self.defs:
+            pending: Optional[Tuple[int, str]] = None
+            for line, kind, name, node in sorted(events, key=itemgetter(0)):
+                if any(start <= line <= end for start, end in protected):
+                    continue
+                if kind == "mutate":
+                    pending = pending or (line, name)
+                elif pending is not None:
+                    mutation = f"{pending[1]} mutation at line {pending[0]}"
+                    flagged.append((node, name, mutation))
+        # Defs come outermost first, so a call's last report is its
+        # innermost def's.
+        last = {id(node): index for index, (node, _, _) in enumerate(flagged)}
+        for index, (node, name, mutation) in enumerate(flagged):
+            if last[id(node)] == index:
+                self.sites.append(_site("unprotected-call", name, node, mutation))
+
+
+#: Whether an expression is a set: always, or when one of these names
+#: is bound to a set.
+_SetShape = Tuple[bool, Tuple[str, ...]]
+
+
+def _set_shape(node: ast.expr) -> _SetShape:
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True, ()
+    if isinstance(node, ast.Call):
+        func = node.func
+        return isinstance(func, ast.Name) and func.id in ("set", "frozenset"), ()
+    if isinstance(node, ast.Name):
+        return False, (node.id,)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPS):
+        left, right = _set_shape(node.left), _set_shape(node.right)
+        return left[0] or right[0], left[1] + right[1]
+    return False, ()
+
+
+def _is_set(shape: _SetShape, set_names: Set[str]) -> bool:
+    always, names = shape
+    return always or any(name in set_names for name in names)
+
+
+def _caught_names(node: ast.expr) -> Set[str]:
+    """Every name and attribute an ``except`` clause's type mentions."""
+    names: Set[str] = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+    return names
+
+
+def _handler_does_nothing(body: List[ast.stmt]) -> bool:
+    """True when the handler neither records, raises, nor compensates."""
+    for statement in body:
+        if isinstance(statement, (ast.Pass, ast.Continue, ast.Break)):
+            continue
+        if isinstance(statement, ast.Expr) and isinstance(
+            statement.value, ast.Constant
+        ):
+            continue  # docstring / ellipsis
+        return False
+    return True
+
+
+def _open_modes(call: ast.Call) -> Set[str]:
+    """Every string constant the call's mode argument could evaluate to.
+
+    Covers a literal mode and conditional expressions over literals
+    (``"a" if resume else "w"``); a fully dynamic mode yields nothing —
+    the rule only flags what it can prove.
+    """
+    mode: Optional[ast.expr] = None
+    if len(call.args) >= 2:
+        mode = call.args[1]
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            mode = keyword.value
+    if mode is None:
+        return set()
+    return {
+        child.value
+        for child in ast.walk(mode)
+        if isinstance(child, ast.Constant) and isinstance(child.value, str)
+    }
 
 
 def _assign_sites(summary: ModuleSummary, node: ast.stmt) -> None:

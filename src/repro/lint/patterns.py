@@ -1,4 +1,4 @@
-"""Shared pattern tables for the lint engine and its AST rules.
+"""Shared pattern tables for the lint summary and engine.
 
 The summary extractor (:mod:`repro.lint.flow.summary`) records every
 site these tables recognise, and both the zero-hop queries and the
@@ -11,8 +11,7 @@ layer (and the cached summary extractor) can use it without cycles.
 
 from __future__ import annotations
 
-import ast
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
 #: Packages whose code feeds scheduling decisions (the determinism and
 #: taint-sink scope).  ``repro.service``'s report is byte-compared
@@ -93,9 +92,6 @@ OTHER_UNIT_SUFFIXES = (
 
 FLOAT_DECLARED = "float"
 INT_DECLARED = "int"
-
-#: Annotation spellings that mean "integer nanoseconds on the clock".
-_INT_ANNOTATIONS = {"int", "Nanoseconds"}
 
 #: The import layering diagram, as (importing package, forbidden import
 #: prefix, why).  Imports under ``if TYPE_CHECKING:`` are exempt::
@@ -256,37 +252,6 @@ def is_ns_name(name: Optional[str]) -> bool:
     return lowered.endswith("_ns") and not lowered.endswith("_per_ns")
 
 
-def annotation_category(annotation: Optional[ast.expr]) -> Optional[str]:
-    """Classify an annotation as float-intent, int-intent, or unknown."""
-    if annotation is None:
-        return None
-    names = set()
-    for node in ast.walk(annotation):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)  # string annotations (``"float"``)
-    if "float" in names:
-        return FLOAT_DECLARED
-    if names & _INT_ANNOTATIONS:
-        return INT_DECLARED
-    return None
-
-
-def dotted_path(node: ast.expr) -> str:
-    """Flatten ``a.b.c`` attribute chains to a dotted string ('' if not)."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
-
-
 def matches_suffix(path: str, suffixes: Iterable[str]) -> bool:
     return any(path == s or path.endswith("." + s) for s in suffixes)
 
@@ -325,15 +290,3 @@ def taint_kind_of_attr(path: str) -> Optional[str]:
     if path and matches_suffix(path, ENV_SUFFIXES):
         return "env"
     return None
-
-
-def has_marker(node: ast.AST, marker: str) -> bool:
-    """True when a function def carries decorator ``@marker`` (bare,
-    called, or attribute-qualified)."""
-    for decorator in getattr(node, "decorator_list", ()):
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if isinstance(target, ast.Name) and target.id == marker:
-            return True
-        if isinstance(target, ast.Attribute) and target.attr == marker:
-            return True
-    return False

@@ -1,108 +1,66 @@
-"""Rule base class and the global rule registry.
+"""The rule table: every rule id, its family and its description.
 
-A rule is a small object with a stable ``id``, a ``family``, and a
-one-line ``description``.  Most rules are answered by the flow engine
-from module summaries and register from its table
-(:mod:`repro.lint.flow.rules`); the rest are AST rules with an optional
-package ``scope`` and a ``check`` method yielding
-:class:`~repro.lint.findings.Finding` objects for one parsed module,
-registered at import time by the :func:`register` class decorator.
-The driver iterates :func:`iter_rules` to select either kind.
+The engine answers every rule from module summaries and lists them in
+its one :data:`~repro.lint.flow.engine.RULES` table; the driver adds
+``lint-stale-allow``.  :func:`iter_rules` is what ``--list-rules``
+documents, ``--rules`` selects from, and ``# repro: allow[...]``
+comments name.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Type
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.lint.context import ModuleContext
-from repro.lint.findings import Finding
-from repro.lint.patterns import in_package
+from repro.lint.flow.engine import RULES
 
 
+@dataclass(frozen=True)
 class Rule:
-    """Base class for lint rules.
+    """One rule's table entry.
 
-    Class attributes:
+    Attributes:
         id: Stable kebab-case identifier used in reports and in
             ``# repro: allow[...]`` suppression comments.
         family: Rule family (``determinism``, ``time-units``,
             ``hot-path``, ``error-handling``, ``layering``, ``flow``,
             ``lint``).
         description: One-line summary shown by ``lint --list-rules``.
-        scope: Dotted package prefixes an AST rule applies to; empty
-            means every linted module.
     """
 
-    id: str = ""
-    family: str = ""
-    description: str = ""
-    scope: tuple = ()
-
-    def applies_to(self, ctx: ModuleContext) -> bool:
-        return not self.scope or in_package(ctx.module, self.scope)
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        """AST rules override this; engine-answered rules yield nothing."""
-        return ()
-
-    # Convenience for subclasses -----------------------------------------
-
-    def finding(self, ctx: ModuleContext, node: ast.AST, message: str) -> Finding:
-        line = getattr(node, "lineno", 0)
-        return Finding(
-            rule_id=self.id,
-            path=ctx.path,
-            line=line,
-            col=getattr(node, "col_offset", 0),
-            message=message,
-            end_line=getattr(node, "end_lineno", line) or line,
-        )
+    id: str
+    family: str
+    description: str
 
 
-_REGISTRY: Dict[str, Rule] = {}
-
-
-def add_rule(rule: Rule) -> Rule:
-    """Add one rule instance to the registry."""
-    if not rule.id:
-        raise ValueError(f"rule {type(rule).__name__} has no id")
-    if rule.id in _REGISTRY:
-        raise ValueError(f"duplicate rule id {rule.id!r}")
-    _REGISTRY[rule.id] = rule
-    return rule
-
-
-def register(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator: instantiate and add a rule to the registry."""
-    add_rule(cls())
-    return cls
+_TABLE: Dict[str, Rule] = {
+    rule_id: Rule(rule_id, family, description)
+    for rule_id, (family, description) in RULES.items()
+}
+#: Driver-synthesised: an allow-comment that silences nothing.
+#: Staleness is a whole-run fact (an allow is live if *any* rule's
+#: finding matched it), so the driver computes it after every other
+#: rule ran, and only on full runs (a ``--rules`` subset would mark
+#: everything else's suppressions stale).
+_TABLE["lint-stale-allow"] = Rule(
+    "lint-stale-allow",
+    "lint",
+    "# repro: allow[...] comment no longer suppresses any finding "
+    "(full runs only)",
+)
 
 
 def iter_rules(only: Optional[Iterable[str]] = None) -> Iterator[Rule]:
-    """All registered rules, or the subset named in ``only``."""
-    _load_builtin_rules()
+    """All rules, or the subset named in ``only``, sorted by id."""
     if only is None:
-        yield from (_REGISTRY[key] for key in sorted(_REGISTRY))
+        yield from (_TABLE[key] for key in sorted(_TABLE))
         return
     wanted = list(only)
-    unknown = [rule_id for rule_id in wanted if rule_id not in _REGISTRY]
+    unknown = [rule_id for rule_id in wanted if rule_id not in _TABLE]
     if unknown:
         raise KeyError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
-    yield from (_REGISTRY[key] for key in sorted(wanted))
+    yield from (_TABLE[key] for key in sorted(wanted))
 
 
 def rule_ids() -> List[str]:
-    _load_builtin_rules()
-    return sorted(_REGISTRY)
-
-
-_loaded = False
-
-
-def _load_builtin_rules() -> None:
-    """Import the built-in rule modules (they register on import)."""
-    global _loaded
-    if not _loaded:
-        _loaded = True
-        import repro.lint.rules  # noqa: F401
+    return sorted(_TABLE)

@@ -129,8 +129,6 @@ class PlannerDaemon:
             dropped (the operation is failed, not slow).
         history_limit: Size of the bounded :attr:`history` /
             :attr:`push_backoffs_ns` rings.
-        cache_capacity: In-memory shape-cache capacity when ``cache``
-            is enabled.
         planner_kwargs: Forwarded to :class:`repro.core.Planner`.
     """
 
@@ -143,14 +141,11 @@ class PlannerDaemon:
         push_retries: int = 3,
         push_backoff_ns: int = 1_000_000,
         history_limit: int = HISTORY_LIMIT,
-        cache_capacity: int = 64,
         **planner_kwargs,
     ) -> None:
         self.planner = Planner(topology, **planner_kwargs)
         self.hypercall = hypercall
-        self.cache = (
-            TableCache(self.planner, capacity=cache_capacity) if cache else None
-        )
+        self.cache = TableCache(self.planner) if cache else None
         self.faults = faults
         self.push_retries = push_retries
         self.push_backoff_ns = push_backoff_ns

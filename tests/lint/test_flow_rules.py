@@ -9,7 +9,7 @@ early-exit validation) are part of the contract.
 """
 
 from repro.lint import lint_paths
-from repro.lint.flow.rules import FLOW_RULE_IDS
+from repro.lint.flow.engine import FLOW_RULE_IDS
 
 from tests.lint.util import FIXTURES
 

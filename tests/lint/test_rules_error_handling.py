@@ -64,6 +64,21 @@ class TestRegistryRollback:
         report = lint_source(source, module="repro.xen.m")
         assert report.findings == []
 
+    def test_nested_def_violation_reported_once(self):
+        # The enclosing function's check reads the nested def's body too,
+        # so both functions flag the same call.
+        source = (
+            "def outer(self):\n"
+            "    def inner():\n"
+            "        self.registry.add(x)\n"
+            "        self.daemon.replan(specs, reason='r')\n"
+            "    inner()\n"
+        )
+        report = lint_source(source, module="repro.xen.m")
+        assert [(f.rule_id, f.line, f.col) for f in report.findings] == [
+            ("err-registry-rollback", 4, 8)
+        ]
+
     def test_rule_scoped_to_xen(self):
         source = (
             "def create(self, spec):\n"
