@@ -633,8 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         default=None,
         metavar="PATH",
-        help="incremental cache file: unchanged files skip parsing "
-        "(full-rule-set runs only)",
+        help="incremental cache file: unchanged files skip parsing",
     )
     lint.add_argument(
         "--jobs",

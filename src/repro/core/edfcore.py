@@ -19,7 +19,10 @@ which runs Sec. 5's per-core pipeline in order:
 A DP-WRAP cluster core enters at stage 4 with its layout.  The result is
 a name-free :class:`CoreRecord` that refers to vCPUs only by base index,
 so it is cached by task *shape* and serves every core, in any planner,
-whose tasks differ only in names; :meth:`CoreRecord.bind` labels it.
+whose tasks differ only in names; :meth:`CoreRecord.bind` labels it.  A
+core's shape is assembled from entries each task derived once, when it
+was constructed (its timing tuple and base vCPU name), so a shape-cache
+hit costs a few C-level passes over the core's tasks.
 The cache has one reader, :func:`lookup_core`, and one writer,
 :func:`remember_core`: :func:`materialize_core` puts the pipeline behind
 them for one core, and the planner for a census, whose misses it runs
@@ -40,6 +43,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.peephole import PeepholeReport, optimize_core
@@ -62,6 +66,9 @@ from repro.hotpath import coldpath, hotpath
 _SHAPE_CACHE: Dict[tuple, "CoreRecord"] = {}
 _SHAPE_CACHE_SIZE = 1024
 
+_task_base = attrgetter("base_name")
+_task_timing = attrgetter("timing")
+
 
 @dataclass
 class CoreRecord:
@@ -77,7 +84,8 @@ class CoreRecord:
     #: ids are the order ``SystemTable._rebuild_index`` discovers the
     #: vCPUs in).
     segments: Segments
-    #: Coalesce accounting, keyed by base index.
+    #: Coalesce accounting, keyed by base index (the planner merges it
+    #: into its plan's report under each bound core's names).
     coalesce: CoalesceReport
     peephole: Optional[PeepholeReport]
     #: Audit aggregates per base index: first start, total service, last
@@ -92,14 +100,7 @@ class CoreRecord:
     def bind(self, cpu: int, names: List[str]) -> "BoundCore":
         """Label the record: ``names[i]`` is base index ``i`` on ``cpu``."""
         table = CoreTable.bound(cpu, self.length_ns, self.segments, names)
-        report = self.coalesce
-        coalesce = CoalesceReport(
-            lost_ns={names[k]: v for k, v in report.lost_ns.items()},
-            gained_ns={names[k]: v for k, v in report.gained_ns.items()},
-            merged_count=report.merged_count,
-            dropped_count=report.dropped_count,
-        )
-        return BoundCore(table, coalesce, names, self)
+        return BoundCore(table, names, self)
 
 
 @dataclass
@@ -107,7 +108,6 @@ class BoundCore:
     """A :class:`CoreRecord` under its core's vCPU names."""
 
     table: CoreTable
-    coalesce: CoalesceReport
     #: Base-vCPU names; ``names[i]`` labels the record's base index ``i``.
     names: List[str]
     record: CoreRecord
@@ -480,7 +480,7 @@ def base_names_of(tasks: Sequence[PeriodicTask]) -> Tuple[List[str], List[int]]:
     base_index = {}
     base_of: List[int] = []
     for task in tasks:
-        base = task.name.split("#")[0]
+        base = task.base_name
         existing = base_index.get(base)
         if existing is None:
             existing = len(base_names)
@@ -501,18 +501,25 @@ def lookup_core(
 
     The shape is the cache key: everything a core's record depends on —
     horizon, threshold, peephole knob, the piece->base grouping and each
-    task's timing — and nothing it does not (names, core id).
+    task's timing — and nothing it does not (names, core id).  It is
+    built from what each task derived at construction
+    (:attr:`~repro.core.tasks.PeriodicTask.base_name` and
+    :attr:`~repro.core.tasks.PeriodicTask.timing`): when no two tasks
+    share a base vCPU, task ``i`` is base ``i`` and the names are the
+    bases as they come, and only a core holding two pieces of one vCPU
+    groups them (:func:`base_names_of`).
     """
-    base_names, base_of = base_names_of(tasks)
+    base_names = list(map(_task_base, tasks))
+    if len(set(base_names)) == len(base_names):
+        base_of: Sequence[int] = range(len(base_names))
+    else:
+        base_names, base_of = base_names_of(tasks)
     shape = (
         horizon,
         threshold_ns,
         peephole,
         tuple(base_of),
-        tuple(
-            (task.period, task.cost, task.deadline or task.period, task.offset)
-            for task in tasks
-        ),
+        tuple(map(_task_timing, tasks)),
     )
     return base_names, shape, _SHAPE_CACHE.get(shape)
 

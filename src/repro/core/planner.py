@@ -223,6 +223,9 @@ class Planner:
         self.numa = numa
         self.parallel = parallel
         self.last_numa_report: Optional[NumaReport] = None
+        #: The topology's guest cores, read once (each read of the
+        #: property builds a new list).
+        self._guest_cores = topology.guest_cores
         self.core_cache_hits = 0
         self.core_cache_misses = 0
         self._plan_memo: "OrderedDict[Tuple, PlanResult]" = OrderedDict()
@@ -364,7 +367,7 @@ class Planner:
                 self.plan_memo_hits += 1
                 return self._reissue_plan(cached, started)
             self.plan_memo_misses += 1
-        guest_cores = self.topology.guest_cores
+        guest_cores = self._guest_cores
         admission = admit_or_raise(
             vcpus, len(guest_cores), self.hyperperiod_ns, self.min_period_ns
         )
@@ -396,7 +399,9 @@ class Planner:
         report = CoalesceReport()
         peephole_report = PeepholeReport(0, 0, 0, 0) if self.peephole else None
         for core in cores.values():
-            report.merge(core.coalesce)
+            # Each record's report is name-free: merged under the core's
+            # names, in core order.
+            report.merge(core.record.coalesce, core.names)
             part = core.record.peephole
             if peephole_report is not None and part is not None:
                 peephole_report.merge(part)

@@ -17,7 +17,7 @@ the table with a matching tolerance and callers can inspect the drift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.table import Allocation, CoreTable
 
@@ -45,10 +45,14 @@ class CoalesceReport:
     def max_lost_ns(self) -> int:
         return max(self.lost_ns.values(), default=0)
 
-    def merge(self, other: "CoalesceReport") -> None:
-        for vcpu, amount in other.lost_ns.items():
+    def merge(self, other: "CoalesceReport", names: Sequence[str]) -> None:
+        """Add a core record's name-free report, keyed by base index, to
+        this one: ``names[k]`` is the vCPU of index ``k``."""
+        for index, amount in other.lost_ns.items():
+            vcpu = names[index]
             self.lost_ns[vcpu] = self.lost_ns.get(vcpu, 0) + amount
-        for vcpu, amount in other.gained_ns.items():
+        for index, amount in other.gained_ns.items():
+            vcpu = names[index]
             self.gained_ns[vcpu] = self.gained_ns.get(vcpu, 0) + amount
         self.merged_count += other.merged_count
         self.dropped_count += other.dropped_count

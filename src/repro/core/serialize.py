@@ -669,20 +669,31 @@ def table_size_bytes(table: SystemTable) -> int:
     :meth:`~repro.core.table.CoreTable.build_slices`), so sizing a table
     never forces its slice tables to materialize — the planner builds
     slices lazily, on first dispatch lookup or serialization.
+
+    The planner sizes every plan it makes, so this costs O(cores): the
+    string table is sized in one pass over the joined names (UTF-8
+    encodes a concatenation as the concatenation of the encodings), and
+    each core's block once per shared
+    :class:`~repro.core.table.Segments` (:attr:`~repro.core.table.Segments.wire_share`),
+    with the slice count of the table's own slices when it has them.
     """
-    size = _HEADER.size
-    for name in table.vcpu_names:
-        size += 2 + len(name.encode("utf-8"))
+    names = table.vcpu_names
+    size = _HEADER.size + 2 * len(names) + len("".join(names).encode("utf-8"))
     for core in table.cores.values():
-        if core.slices:
-            nslices = len(core.slices) // 2
-        else:
-            shortest = core.min_allocation_ns()
-            if shortest is None:
-                nslices = 1
-            else:
-                nslices = -(-core.length_ns // max(shortest, 1))
-        size += _CPU_HEADER.size
-        size += _ALLOC.size * core.allocation_count
-        size += _SLICE.size * nslices
+        segments = core.segments
+        share = segments.wire_share
+        if share is None or share[0] != core.length_ns:
+            share = segments.wire_share = _wire_share(segments, core.length_ns)
+        slices = core.slices
+        size += share[1] + _SLICE.size * (len(slices) // 2 if slices else share[2])
     return size
+
+
+def _wire_share(segments: Segments, length_ns: int) -> Tuple[int, int, int]:
+    """A core's header and record bytes, and the slice count of
+    :meth:`~repro.core.table.CoreTable.build_slices`' unfloored slice
+    table, for ``segments`` in a table ``length_ns`` long."""
+    shortest = segments.min_alloc_ns
+    nslices = 1 if shortest is None else -(-length_ns // max(shortest, 1))
+    records = _CPU_HEADER.size + _ALLOC.size * len(segments.records[0])
+    return length_ns, records, nslices

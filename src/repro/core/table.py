@@ -103,7 +103,8 @@ class Segments:
     allocation ``k`` of a bound table is its ``k``-th segment with an id.
     Never mutated after construction, except that :attr:`geometry` is
     filled in by the first :meth:`CoreTable.build_slices` that needs it
-    and then serves every table bound to these segments.
+    and then serves every table bound to these segments, and likewise
+    :attr:`wire_share`.
     """
 
     starts: array
@@ -119,6 +120,10 @@ class Segments:
     geometry: Optional[Geometry] = None
     #: :attr:`ids` renumbered by first appearance (see :meth:`numbered_ids`).
     _numbered: Optional[array] = field(default=None, repr=False)
+    #: A bound core's share of :func:`repro.core.serialize.table_size_bytes`:
+    #: ``(table length, header and record bytes, unfloored slice count)``,
+    #: filled in by the first sizing of a table bound to these segments.
+    wire_share: Optional[Tuple[int, int, int]] = field(default=None, repr=False)
 
     @classmethod
     def from_columns(cls, ends: array, ids: array) -> "Segments":
@@ -262,11 +267,27 @@ class CoreTable:
     ) -> "CoreTable":
         """A table over shared ``segments``, segment id ``i`` named
         ``names[i]``, with their slice table if one was derived.  Builds
-        no :class:`Allocation` until :attr:`allocations` is read."""
-        table = cls(cpu=cpu, length_ns=length_ns, _segments=segments, _names=names)
-        del table.allocations  # read through _LazyAllocations from now on
-        if segments.geometry is not None:
-            table.install_slices(segments.geometry)
+        no :class:`Allocation` until :attr:`allocations` is read.
+
+        Sets the instance attributes ``__init__`` would, but for
+        ``allocations`` (read through :class:`_LazyAllocations`), and
+        allocates none that a bound table throws away: the slice fields
+        are the segments' shared geometry or shared empty values, which
+        no table mutates in place (:meth:`derive_slices` and
+        :meth:`install_slices` replace them).
+        """
+        table = cls.__new__(cls)
+        table.cpu = cpu
+        table.length_ns = length_ns
+        geometry = segments.geometry
+        if geometry is None:
+            geometry = _UNSLICED
+        table.slice_len_ns, table.slices, table._starts, table._bounds = geometry
+        table._memo = None
+        table._segments = segments
+        table._names = names
+        table._source = None
+        table._slots = None
         return table
 
     def __getstate__(self) -> Dict[str, object]:
@@ -625,6 +646,10 @@ class _LazyAllocations:
 # Installed after the dataclass is built: as a class-body default it would
 # become the field's default value.
 setattr(CoreTable, "allocations", _LazyAllocations())
+
+#: The slice fields of a bound table whose segments have no slice table
+#: yet: ``__init__``'s defaults, shared and never mutated in place.
+_UNSLICED: Geometry = (0, _no_slices(), [], [])
 
 #: What a :class:`CoreTable` pickles: every field but the columns.
 _PICKLED_FIELDS = tuple(

@@ -9,8 +9,8 @@ worst-case blackout ``2 * (T - C)`` stays within L (Sec. 5).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.params import VCpuSpec
 from repro.core.periods import (
@@ -32,6 +32,12 @@ class PeriodicTask:
     period and must finish within ``deadline`` ns of its release so the
     pieces chain without ever running in parallel.
 
+    Three facts the planner reads on every replan are derived once, at
+    construction (and so again by ``dataclasses.replace`` and
+    :meth:`split`): :attr:`utilization`, :attr:`timing` and
+    :attr:`base_name`.  They take no part in ``==``, hashing or ``repr``,
+    which see the six fields below them as before.
+
     Attributes:
         name: Task identifier; subtasks get a ``#k`` suffix.
         cost: Worst-case execution budget C per period (ns).
@@ -39,6 +45,11 @@ class PeriodicTask:
         deadline: Relative deadline D (ns); defaults to T.
         offset: Release offset within the period (ns).
         vcpu: The originating vCPU spec, if any.
+        utilization: ``cost / period``.
+        timing: ``(period, cost, deadline, offset)``, this task's entry
+            in a core's shape key (:func:`repro.core.edfcore.lookup_core`).
+        base_name: The vCPU name, ``name`` without its ``#k`` suffix
+            (``name`` itself when it has none).
     """
 
     name: str
@@ -47,6 +58,9 @@ class PeriodicTask:
     deadline: Optional[int] = None
     offset: int = 0
     vcpu: Optional[VCpuSpec] = None
+    utilization: float = field(init=False, compare=False, repr=False)
+    timing: Tuple[int, int, int, int] = field(init=False, compare=False, repr=False)
+    base_name: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.deadline is None:
@@ -66,10 +80,11 @@ class PeriodicTask:
             )
         if self.offset < 0:
             raise ConfigurationError(f"{self.name}: offset must be non-negative")
-
-    @property
-    def utilization(self) -> float:
-        return self.cost / self.period
+        name = self.name
+        derive = object.__setattr__
+        derive(self, "utilization", self.cost / self.period)
+        derive(self, "timing", (self.period, self.cost, self.deadline, self.offset))
+        derive(self, "base_name", name if "#" not in name else name.split("#")[0])
 
     @property
     def density(self) -> float:
@@ -95,7 +110,7 @@ class PeriodicTask:
             raise ConfigurationError(
                 f"{self.name}: split cost {first_cost} outside (0, {self.cost})"
             )
-        base = self.name.split("#")[0]
+        base = self.base_name
         index = int(self.name.split("#")[1]) if "#" in self.name else 0
         piece = replace(
             self,

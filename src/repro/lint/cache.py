@@ -10,8 +10,8 @@ queries and passes, which do (a ``*_ns`` parameter declared float in
 one module exempts a keyword argument in another), run on every run
 from the summaries, so no file is opened or parsed on a warm run.
 
-The cache is only consulted on full-rule-set runs; ``--rules`` subsets
-bypass it entirely.
+No entry depends on the rules selected either, so ``--rules`` subsets
+read and fill the same cache as full-rule-set runs.
 
 Writes are atomic (temp file + ``os.replace``) and any unreadable or
 version-mismatched cache is discarded wholesale.

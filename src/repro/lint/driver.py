@@ -137,13 +137,15 @@ def lint_paths(
 ) -> LintReport:
     """Lint every Python file under ``paths`` with the selected rules.
 
-    ``cache_path`` attaches the incremental cache — full-rule-set runs
-    only.  ``jobs > 1`` extracts cache misses on a process pool.
+    ``cache_path`` attaches the incremental cache, whatever the rules:
+    its entries are per-file summaries and suppression maps, which no
+    rule selection changes.  Stale allows are reported on full-rule-set
+    runs only.  ``jobs > 1`` extracts cache misses on a process pool.
     """
     files = discover_files(paths)
     selected = {rule.id for rule in iter_rules(rules)}
     full_run = rules is None
-    cache = LintCache.load(cache_path) if (cache_path and full_run) else None
+    cache = LintCache.load(cache_path) if cache_path else None
 
     records: List[_FileRecord] = []
     misses: List[Tuple[_FileRecord, bytes]] = []

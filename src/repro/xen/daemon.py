@@ -329,7 +329,8 @@ class PlannerDaemon:
         plan memo hit, or a core a cache hit kept) or holds the same
         schedule (:meth:`~repro.core.table.CoreTable.same_schedule`,
         which only compares the names of cores bound to the same shared
-        segments).
+        segments).  Comparing stops at the first changed core past half:
+        the push then goes in full whatever the other cores hold.
         """
         if result.stats.method != METHOD_PARTITIONED:
             return FULL_METHOD
@@ -339,13 +340,14 @@ class PlannerDaemon:
         table = result.table
         if base.length_ns != table.length_ns or set(base.cores) != set(table.cores):
             return FULL_GEOMETRY
+        half = len(table.cores) // 2
         changed: List[int] = []
         for cpu, core in table.cores.items():
             old = base.cores[cpu]
             if core is not old and not core.same_schedule(old):
                 changed.append(cpu)
-        if 2 * len(changed) > len(table.cores):
-            return FULL_OVER_HALF
+                if len(changed) > half:
+                    return FULL_OVER_HALF
         return changed
 
     def _note_pushed(self, table: SystemTable) -> None:

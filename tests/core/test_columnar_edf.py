@@ -18,13 +18,16 @@ from hypothesis import strategies as st
 
 from repro.core import edfcore
 from repro.core.edf import simulate_edf
-from repro.core.edfcore import base_names_of, materialize_core
+from repro.core.edfcore import base_names_of, lookup_core, materialize_core
 from repro.core.optimal import dp_wrap_schedule
+from repro.core.params import MS, make_vm
+from repro.core.planner import Planner
 from repro.core.peephole import optimize_core
-from repro.core.postprocess import coalesce
+from repro.core.postprocess import CoalesceReport, coalesce
 from repro.core.table import Allocation, CoreTable, validate_against_tasks
 from repro.core.tasks import PeriodicTask
 from repro.errors import ConfigurationError, PlanningError
+from repro.topology import uniform
 
 HORIZON = 1_200_000
 PERIODS = [100_000, 120_000, 150_000, 200_000, 240_000, 300_000, 400_000, 600_000, HORIZON]
@@ -114,7 +117,9 @@ def assert_matches(record, tasks, reference, cpu=0):
     bound = record.bind(cpu, names)
     assert bound.table.allocations == table.allocations
     assert bound.table.length_ns == table.length_ns
-    assert bound.coalesce == coalesce_report
+    named = CoalesceReport()
+    named.merge(record.coalesce, bound.names)
+    assert named == coalesce_report
     assert record.peephole == peephole_report
     ids = {name: index for index, name in enumerate(names)}
     ours = bound.table.as_arrays(ids.__getitem__)
@@ -176,6 +181,68 @@ def test_shape_hit_rebinds_to_the_renamed_reference(tasks, threshold_ns, peephol
     assert again is first
     reference = object_pipeline(renamed, HORIZON, threshold_ns, peephole)
     assert_matches(again, renamed, reference)
+
+
+def reference_shape(tasks, horizon, threshold_ns, peephole):
+    """A core's base-vCPU names and shape key, by their definitions: each
+    name before its ``#`` numbered by first appearance, and each task's
+    (period, cost, deadline, offset)."""
+    base_names = []
+    base_of = []
+    for task in tasks:
+        base = task.name.split("#")[0]
+        if base not in base_names:
+            base_names.append(base)
+        base_of.append(base_names.index(base))
+    timing = tuple(
+        (task.period, task.cost, task.deadline or task.period, task.offset)
+        for task in tasks
+    )
+    return base_names, (horizon, threshold_ns, peephole, tuple(base_of), timing)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tasks=task_sets(),
+    threshold_ns=st.sampled_from(THRESHOLDS),
+    peephole=st.booleans(),
+)
+def test_shape_key_equals_reference_formula(tasks, threshold_ns, peephole):
+    names, shape, _record = lookup_core(tasks, HORIZON, threshold_ns, peephole)
+    assert (names, shape) == reference_shape(tasks, HORIZON, threshold_ns, peephole)
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        ["v0", "v1", "v2"],  # distinct bases: task i is base i
+        ["v0#0", "v1", "v0#1"],  # two pieces of one vCPU
+        ["v2#1", "v1"],  # a lone piece
+    ],
+)
+def test_shape_key_of_distinct_and_shared_bases(names):
+    tasks = [
+        PeriodicTask(name, 10_000 * (k + 1), 100_000, deadline=50_000 + k, offset=k)
+        for k, name in enumerate(names)
+    ]
+    got = lookup_core(tasks, HORIZON, 0, False)[:2]
+    assert got == reference_shape(tasks, HORIZON, 0, False)
+
+
+@pytest.mark.parametrize(
+    "cores, census, peephole",
+    [
+        (4, [(0.25, 20)] * 10 + [(0.125, 100)] * 6, False),  # partitioned
+        (2, [(0.6, 100)] * 3, True),  # semi-partitioned: split pieces
+    ],
+)
+def test_every_planned_core_shape_equals_reference(cores, census, peephole):
+    vms = [make_vm(f"vm{i}", u, ms * MS) for i, (u, ms) in enumerate(census)]
+    planner = Planner(uniform(cores), peephole=peephole)
+    result = planner.plan(vms)
+    for tasks in result.assignment.values():
+        key = (planner.hyperperiod_ns, planner.coalesce_threshold_ns, peephole)
+        assert lookup_core(tasks, *key)[:2] == reference_shape(tasks, *key)
 
 
 @st.composite

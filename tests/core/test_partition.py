@@ -1,8 +1,11 @@
 """Tests for worst-fit-decreasing (and first-fit) partitioning."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.partition import (
+    UTILIZATION_EPSILON,
     first_fit_decreasing,
     worst_fit_decreasing,
 )
@@ -80,6 +83,80 @@ class TestWorstFitDecreasing:
         ]
         result = worst_fit_decreasing(tasks, [0, 1])
         assert result.success
+
+
+def reference_wfd(tasks, cores, capacities=None, rotation=0):
+    """WFD as a rank dict and a scan: ties among equal utilizations break
+    by each name's place in sorted order, rotated by ``rotation``; each
+    task goes to the least-loaded core it fits on, the earliest on a tie."""
+    capacities = capacities or {}
+    names = sorted(t.name for t in tasks)
+    rank = {
+        name: (index - rotation) % max(1, len(names))
+        for index, name in enumerate(names)
+    }
+    ordered = sorted(tasks, key=lambda t: (-(t.cost / t.period), rank[t.name]))
+    load = {core: 0.0 for core in cores}
+    assignment = {core: [] for core in cores}
+    unassigned = []
+    for t in ordered:
+        utilization = t.cost / t.period
+        best = None
+        for core in cores:
+            if load[core] + utilization <= capacities.get(core, 1.0) + UTILIZATION_EPSILON:
+                if best is None or load[core] < load[best]:
+                    best = core
+        if best is None:
+            unassigned.append(t.name)
+        else:
+            assignment[best].append(t.name)
+            load[best] += utilization
+    return assignment, unassigned
+
+
+@st.composite
+def tied_task_sets(draw):
+    """Uniquely named tasks whose utilizations tie often (0.125 is both
+    125,000 of 1 ms and 250,000 of 2 ms), in a shuffled order."""
+    count = draw(st.integers(0, 14))
+    names = draw(
+        st.lists(
+            st.text(alphabet="ab.#01", min_size=1, max_size=4),
+            min_size=count,
+            max_size=count,
+            unique=True,
+        )
+    )
+    tasks = []
+    for name in names:
+        period = draw(st.sampled_from([1_000_000, 2_000_000]))
+        share = draw(st.sampled_from([0.0625, 0.125, 0.25, 0.3, 0.5, 0.7]))
+        tasks.append(PeriodicTask(name=name, cost=int(share * period), period=period))
+    return draw(st.permutations(tasks))
+
+
+class TestOrderMatchesRankReference:
+    """At every rotation, WFD's placement equals the rank-dict reference,
+    on uniform capacity (the planner's heap path) and on a scan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tasks=tied_task_sets(),
+        num_cores=st.integers(1, 4),
+        rotation=st.one_of(st.just(0), st.integers(0, 20)),
+        capped=st.booleans(),
+    )
+    def test_placement_equals_reference(self, tasks, num_cores, rotation, capped):
+        cores = list(range(num_cores))
+        capacities = {0: 0.75} if capped else None
+        result = worst_fit_decreasing(tasks, cores, capacities, rotation=rotation)
+        assignment = {
+            core: [t.name for t in placed] for core, placed in result.assignment.items()
+        }
+        unassigned = [t.name for t in result.unassigned]
+        assert (assignment, unassigned) == reference_wfd(
+            tasks, cores, capacities, rotation
+        )
 
 
 class TestFirstFitDecreasing:

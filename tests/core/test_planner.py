@@ -14,6 +14,7 @@ from repro.core import (
     make_vm,
     serialize,
 )
+from repro.core import edfcore
 from repro.errors import AdmissionError, PlanningError
 from repro.topology import uniform, xeon_16core
 
@@ -280,3 +281,56 @@ class TestSliceInvariant:
             assert table.slices
             if table.allocations:
                 assert table.slice_len_ns == table.min_allocation_ns()
+
+
+class TestCoalesceAccounting:
+    """``stats.coalesce`` is each core's name-free report merged under the
+    core's names, in the plan's core order (dict order included)."""
+
+    #: (utilization, latency ms) per VM: plans on four cores whose
+    #: reports move budget on several cores.
+    PEEPHOLE_CENSUS = [
+        (0.15, 1), (0.2, 1), (0.3, 30), (0.3, 30), (0.15, 1), (0.3, 1), (0.3, 30),
+        (0.1, 30), (0.2, 5), (0.1, 10), (0.1, 1), (0.1, 1), (0.3, 5), (0.3, 1),
+    ]
+    THRESHOLD_CENSUS = [
+        (0.15, 10), (0.1, 30), (0.3, 5), (0.1, 1), (0.1, 30), (0.2, 1), (0.15, 10),
+        (0.2, 5), (0.1, 10), (0.15, 1), (0.2, 10), (0.15, 5), (0.2, 10), (0.2, 1),
+    ]
+
+    @pytest.mark.parametrize(
+        "census, knobs",
+        [
+            (PEEPHOLE_CENSUS, {"peephole": True}),
+            (THRESHOLD_CENSUS, {"coalesce_threshold_ns": 30_000}),
+        ],
+    )
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_report_is_the_per_core_merge(self, census, knobs, warm):
+        vms = [make_vm(f"vm{i:02d}", u, ms * MS) for i, (u, ms) in enumerate(census)]
+        edfcore.clear_shape_cache()
+        if warm:
+            # Every core of the next plan is then a shape-cache hit.
+            Planner(uniform(4), **knobs).plan(vms)
+        planner = Planner(uniform(4), **knobs)
+        result = planner.plan(vms)
+        lost, gained, counts = {}, {}, [0, 0]
+        for cpu in result.table.cores:
+            names, _shape, record = edfcore.lookup_core(
+                result.assignment[cpu],
+                planner.hyperperiod_ns,
+                planner.coalesce_threshold_ns,
+                planner.peephole,
+            )
+            report = record.coalesce
+            for k, amount in report.lost_ns.items():
+                lost[names[k]] = lost.get(names[k], 0) + amount
+            for k, amount in report.gained_ns.items():
+                gained[names[k]] = gained.get(names[k], 0) + amount
+            counts[0] += report.merged_count
+            counts[1] += report.dropped_count
+        got = result.stats.coalesce
+        assert len(got.lost_ns) >= 2 and got.gained_ns
+        assert list(got.lost_ns.items()) == list(lost.items())
+        assert list(got.gained_ns.items()) == list(gained.items())
+        assert [got.merged_count, got.dropped_count] == counts

@@ -481,6 +481,38 @@ class TestTableSize:
         system = sample_system()
         assert table_size_bytes(system) == len(serialize(system))
 
+    def test_size_of_a_table_whose_wire_slices_were_floored(self):
+        clear_decode_cache()
+        floored = SystemTable(length_ns=10_000, cores=dict(sample_system().cores))
+        floored.build_slices(min_slice_len_ns=5_000)
+        payload = serialize(floored)
+        for _ in range(2):  # a cold decode, then a decode-cache hit
+            restored = deserialize(payload)
+            assert restored.cores[1].slice_len_ns == 5_000
+            assert table_size_bytes(restored) == len(serialize(restored)) == len(payload)
+        # The same schedules unfloored, bound to the same segments.
+        unfloored = deserialize(serialize(sample_system()))
+        assert unfloored.cores[1].slice_len_ns == 1_000
+        assert table_size_bytes(unfloored) == len(serialize(unfloored)) > len(payload)
+
+    def test_size_with_non_ascii_names(self):
+        names = ["vm-é.vcpu0", "虚拟机.vcpu1", "vm🙂.vcpu0"]
+        allocations = [
+            Allocation(0, 1_000, names[0]),
+            Allocation(1_000, 4_000, names[1]),
+            Allocation(6_000, 7_000, names[2]),
+        ]
+        system = SystemTable(
+            length_ns=10_000,
+            cores={0: CoreTable(cpu=0, length_ns=10_000, allocations=allocations)},
+        )
+        unsliced = table_size_bytes(system)  # before any slice table exists
+        payload = serialize(system)
+        assert unsliced == table_size_bytes(system) == len(payload)
+        restored = deserialize(payload)
+        assert restored.vcpu_names == names
+        assert table_size_bytes(restored) == len(payload)
+
     def test_size_grows_with_allocations(self):
         small = sample_system()
         big = SystemTable(

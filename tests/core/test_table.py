@@ -1,5 +1,6 @@
 """Tests for table data structures: slice tables, lookups, blackout."""
 
+import pickle
 from array import array
 
 import pytest
@@ -297,6 +298,70 @@ class TestLookupMemo:
         assert system.vcpu_names == ["y"]
         decoded = deserialize(serialize(system))
         assert decoded.cores[0].allocations == [Allocation(0, 500, "y")]
+
+
+class TestBoundTable:
+    """``CoreTable.bound`` sets the instance attributes ``__init__`` sets
+    (``allocations`` only when first read) and behaves as an
+    ``__init__``-built table of the same schedule."""
+
+    ALLOCS = [(0, 1_000, "a"), (1_500, 2_000, "b"), (2_000, 4_000, "a"), (6_000, 6_500, None)]
+
+    def pair(self, sliced):
+        built = core_table(self.ALLOCS, cpu=2)
+        segments, names = Segments.from_records(10_000, self.ALLOCS)
+        if sliced:
+            # Another table bound to the segments derives their slices.
+            CoreTable.bound(5, 10_000, segments, names).build_slices()
+            built.build_slices()
+        return built, CoreTable.bound(2, 10_000, segments, names)
+
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_instance_attributes_match(self, sliced):
+        built, bound = self.pair(sliced)
+        assert "allocations" not in vars(bound)
+        assert bound.allocations == built.allocations
+        assert set(vars(bound)) == set(vars(built))
+        assert bound.cpu == 2 and bound.length_ns == 10_000
+        assert bound.slice_len_ns == built.slice_len_ns
+        assert bound.slices == built.slices
+
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_same_answers(self, sliced):
+        built, bound = self.pair(sliced)
+        ids = {"a": 0, "b": 1}.__getitem__
+        assert [c.tolist() for c in bound.as_arrays(ids)] == [
+            c.tolist() for c in built.as_arrays(ids)
+        ]
+        assert pickle.dumps(bound) == pickle.dumps(built)
+        restored = pickle.loads(pickle.dumps(bound))
+        assert restored == pickle.loads(pickle.dumps(built)) == built
+        for t in list(range(0, 25_000, 250)) + [999, 1_000, 5_999, 6_499, 6_500]:
+            assert bound.lookup(t) == built.lookup(t)
+            assert bound.next_boundary(t) == built.next_boundary(t)
+        assert bound.allocations == built.allocations
+
+    def test_unsliced_tables_share_nothing_they_change(self):
+        # Slices built on one unsliced bound table leave every other one
+        # unsliced, and each derives its own slices when it needs them.
+        tables = []
+        for length in (10_000, 8_000):
+            segments, names = Segments.from_records(length, [(0, 500, "a")])
+            tables.append(CoreTable.bound(0, length, segments, names))
+        first, second = tables
+        first.build_slices()
+        assert first.lookup(200).vcpu == "a"
+        first.derive_slices([0], [500], 1_000)
+        assert first.lookup(10_200).vcpu == "a"
+        assert (second.slice_len_ns, second.slices, second._starts, second._bounds) == (
+            0,
+            array("i"),
+            [],
+            [],
+        )
+        assert second.lookup(7_900) is None
+        assert second.next_boundary(7_900) == 8_000
+        assert len(second.slices) == 2 * 16
 
 
 class TestRelabelledSegments:

@@ -1,5 +1,8 @@
 """Tests for the periodic task model and the vCPU -> task mapping."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from repro.core.params import VCpuSpec
@@ -48,6 +51,70 @@ class TestPeriodicTask:
     def test_rejects_negative_offset(self):
         with pytest.raises(ConfigurationError):
             PeriodicTask(name="t", cost=1, period=10, offset=-1)
+
+
+def assert_derived(task):
+    """The facts a task derives once equal their definitions."""
+    assert task.utilization == task.cost / task.period
+    assert task.timing == (task.period, task.cost, task.deadline, task.offset)
+    assert task.base_name == task.name.split("#")[0]
+
+
+class TestDerivedFields:
+    """``utilization``, ``timing`` and ``base_name`` are derived at
+    construction and take no part in equality, hashing or ``repr``."""
+
+    def test_after_construction(self):
+        assert_derived(make_task())
+        assert_derived(make_task(cost=2_000, period=10_000, deadline=4_000, offset=3_000))
+        assert_derived(PeriodicTask(name="vm1.vcpu0#2", cost=5, period=100))
+
+    def test_base_of_an_unsplit_name_is_the_name_itself(self):
+        name = "".join(["vm1", ".vcpu0"])  # not an interned literal
+        assert PeriodicTask(name=name, cost=5, period=100).base_name is name
+
+    def test_after_replace(self):
+        task = make_task(cost=2_000, period=10_000, deadline=4_000, offset=3_000)
+        for changes in (
+            {"name": "other#1"},
+            {"cost": 1_000},
+            {"period": 20_000},
+            {"deadline": 5_000, "offset": 0},
+        ):
+            assert_derived(replace(task, **changes))
+
+    def test_after_split(self):
+        task = PeriodicTask(name="vm3.vcpu1", cost=6_000, period=10_000)
+        piece, remainder = task.split(2_000)
+        for part in (piece, remainder, *remainder.split(1_000)):
+            assert_derived(part)
+            assert part.base_name == "vm3.vcpu1"
+
+    def test_after_pickle_round_trip(self):
+        task = PeriodicTask(name="vm2.vcpu0#1", cost=3, period=10, offset=2, deadline=5)
+        copy = pickle.loads(pickle.dumps(task))
+        assert copy == task
+        assert_derived(copy)
+        assert (copy.utilization, copy.timing, copy.base_name) == (
+            task.utilization,
+            task.timing,
+            task.base_name,
+        )
+
+    def test_equality_hash_and_repr_ignore_them(self):
+        task = make_task(cost=2_000, period=10_000)
+        twin = make_task(cost=2_000, period=10_000)
+        # A copy whose derived fields disagree still equals the original.
+        odd = replace(task)
+        object.__setattr__(odd, "utilization", -1.0)
+        object.__setattr__(odd, "timing", ())
+        object.__setattr__(odd, "base_name", "elsewhere")
+        assert odd == task == twin
+        assert hash(odd) == hash(task) == hash(twin)
+        assert repr(odd) == repr(task) == (
+            "PeriodicTask(name='t', cost=2000, period=10000, deadline=10000, "
+            "offset=0, vcpu=None)"
+        )
 
 
 class TestSplit:

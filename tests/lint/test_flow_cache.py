@@ -1,12 +1,13 @@
 """Incremental cache: warm runs reuse summaries without changing results.
 
-The cache stores per-file summaries and AST-rule findings keyed by
+The cache stores per-file summaries and suppression maps keyed by
 content hash; the engine's queries and passes always re-run but start
 from cached summaries.  The invariants: a warm run returns
-byte-identical findings, an edited file misses alone yet its effects
-propagate project-wide (the engine sees the new summary, including a
-float declaration another module's findings depend on), and a corrupt
-or version-skewed cache file is discarded, never trusted.
+byte-identical findings, with every rule or a ``--rules`` subset, an
+edited file misses alone yet its effects propagate project-wide (the
+engine sees the new summary, including a float declaration another
+module's findings depend on), and a corrupt or version-skewed cache
+file is discarded, never trusted.
 """
 
 import json
@@ -14,6 +15,7 @@ import shutil
 
 import pytest
 
+from repro.cli import main
 from repro.lint import lint_paths
 
 from tests.lint.util import FIXTURES
@@ -102,14 +104,23 @@ class TestCacheRobustness:
         assert report.cache_misses == 2
         assert len(report.findings) == 2
 
-    def test_rule_subset_runs_bypass_the_cache(self, tmp_path):
+    def test_rule_subset_runs_use_the_cache(self, tmp_path, capsys):
         tree = units_tree(tmp_path)
         cache = tmp_path / "lint-cache.json"
-        report = lint_paths(
-            [str(tree)], rules=["flow-unit-escape"], cache_path=str(cache)
-        )
-        assert len(report.findings) == 2
-        assert not cache.exists()
+        subset = ["lint", str(tree), "--rules", "flow-unit-escape"]
+        assert main(subset) == 1
+        cold = capsys.readouterr().out.splitlines()
+        assert "[cache:" not in cold[-1]
+        main(subset + ["--cache", str(cache)])
+        assert "[cache: 0 hit(s), 2 miss(es)]" in capsys.readouterr().out
+        main(subset + ["--cache", str(cache)])
+        warm = capsys.readouterr().out.splitlines()
+        assert warm[-1].endswith(" [cache: 2 hit(s), 0 miss(es)]")
+        assert warm[:-1] == cold[:-1]
+        assert warm[-1].startswith(cold[-1])
+        # A full-rule-set run reads what the subset run stored.
+        full = lint_paths([str(tree)], cache_path=str(cache))
+        assert full.cache_hits == 2 and full.cache_misses == 0
 
 
 class TestParallelEquivalence:

@@ -19,7 +19,7 @@ from repro.core import (
     serialize,
 )
 from repro.core.serialize import deserialize_delta, serialize_delta
-from repro.core.table import SystemTable
+from repro.core.table import CoreTable, SystemTable
 from repro.errors import TableDeltaMismatchError, TableFormatError
 from repro.faults import FaultPlan
 from repro.schedulers import TableauScheduler
@@ -435,6 +435,26 @@ class TestFullPushReasons:
         daemon, _, _ = build_daemon()
         daemon.replan(census(4), "boot")
         daemon.replan([make_vm(f"big{i}", 0.6, 50 * MS) for i in range(4)], "swap")
+        self.reasons(daemon, **{FULL_NO_BASE: 1, FULL_OVER_HALF: 1})
+
+    def test_over_half_push_stops_comparing_past_half(self, monkeypatch):
+        daemon, _, _ = build_daemon(xeon_16core())
+        daemon.replan(census(24), "boot")
+        compared = []
+        same_schedule = CoreTable.same_schedule
+
+        def counted(core, other):
+            compared.append(core.cpu)
+            return same_schedule(core, other)
+
+        monkeypatch.setattr(CoreTable, "same_schedule", counted)
+        swapped = [make_vm(f"big{i:02d}", 0.6, 50 * MS) for i in range(12)]
+        result = daemon.replan(swapped, "swap")
+        cores = len(result.table.cores)
+        assert cores == 12
+        # Every core changed, so the push went in full after at most
+        # floor(n/2) + 1 comparisons.
+        assert len(compared) <= cores // 2 + 1
         self.reasons(daemon, **{FULL_NO_BASE: 1, FULL_OVER_HALF: 1})
 
     def test_bounced_delta_is_counted_once(self):
