@@ -249,17 +249,16 @@ def rebind_plan(
     renamed: Dict[str, PeriodicTask] = {}
 
     def rename_task(task: PeriodicTask) -> PeriodicTask:
-        vcpu, piece, number = task.name.partition("#")
-        vcpu = rename[vcpu]
-        name = vcpu + piece + number
+        base = task.base_name
+        vcpu = rename[base]
+        name = vcpu + task.name[len(base) :]
         new = renamed.get(name)
         if new is None:
             new = base_tasks.get(name)
             if (
                 new is None
                 or base_specs.get(vcpu) != spec_keys[vcpu]
-                or (new.cost, new.period, new.deadline, new.offset)
-                != (task.cost, task.period, task.deadline, task.offset)
+                or new.timing != task.timing
             ):
                 new = PeriodicTask(
                     name=name,
