@@ -62,14 +62,21 @@ def test_fig3_generation_time(benchmark, latency_ms):
     assert benchmark.stats["mean"] < 2.0
 
 
+#: Cold plans per point; a point's time is the best of them.
+COLD_PLANS = 3
+
+
 def test_fig3_full_curves(benchmark, monkeypatch):
     """Regenerate the full Fig. 3 series (all curves, all VM counts).
 
     Every point plans cold: a fresh planner, and the process-wide shape
     cache cleared, so each row times table generation, not a lookup of
-    a shape an earlier test planned.  Each row also counts the EDF
-    pipeline runs the plan made: one per distinct core shape, which is
-    why a uniform census plans in milliseconds.
+    a shape an earlier test planned.  A point's time is the best of
+    ``COLD_PLANS`` such plans, so one slow plan (a collection, a busy
+    host) does not stand for the point.  Each row also counts the EDF
+    pipeline runs the plan made, the same in every plan of the point:
+    one per distinct core shape, which is why a uniform census plans in
+    milliseconds.
     """
     pipeline_runs = []
 
@@ -80,10 +87,14 @@ def test_fig3_full_curves(benchmark, monkeypatch):
     monkeypatch.setattr(planner_module, "run_pipeline", counted)
 
     def cold_plan(vms):
-        edfcore.clear_shape_cache()
-        pipeline_runs.clear()
-        result = Planner(TOPOLOGY).plan(vms)
-        return result, len(pipeline_runs)
+        plans = []
+        for _ in range(COLD_PLANS):
+            edfcore.clear_shape_cache()
+            pipeline_runs.clear()
+            plans.append((Planner(TOPOLOGY).plan(vms), len(pipeline_runs)))
+        runs = {count for _result, count in plans}
+        assert len(runs) == 1, f"cold plans of one census ran {runs} pipelines"
+        return min(plans, key=lambda plan: plan[0].stats.generation_seconds)
 
     def sweep():
         rows = []

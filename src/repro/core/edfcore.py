@@ -81,21 +81,20 @@ class CoreRecord:
 
     length_ns: int
     #: The schedule, with base indices as segment ids (its ``served``
-    #: ids are the order ``SystemTable._rebuild_index`` discovers the
-    #: vCPUs in).
+    #: ids, with their first starts, are what the vCPU index of every
+    #: table bound to it reads: :func:`repro.core.table.vcpu_index`).
     segments: Segments
     #: Coalesce accounting, keyed by base index (the planner merges it
     #: into its plan's report under each bound core's names).
     coalesce: CoalesceReport
     peephole: Optional[PeepholeReport]
-    #: Audit aggregates per base index: first start, total service, last
-    #: end, and the largest internal service gap (touching allocations
-    #: merged, as in ``SystemTable.max_blackout_ns``; the wrap-around gap
-    #: is derived from first start and last end at audit time).
-    first_starts: List[int]
+    #: Audit aggregates per base index, derived once per record and read
+    #: by every core bound to it: total service, and the worst service
+    #: gap with the wrap-around gap included (touching allocations
+    #: merged, as in ``SystemTable.max_blackout_ns``; twice the table
+    #: length for a base the core never serves).
     allocated: List[int]
-    last_ends: List[int]
-    max_gaps: List[int]
+    worst_gaps: List[int]
 
     def bind(self, cpu: int, names: List[str]) -> "BoundCore":
         """Label the record: ``names[i]`` is base index ``i`` on ``cpu``."""
@@ -434,7 +433,7 @@ def _record(
     first_starts = [0] * num_bases
     allocated = [0] * num_bases
     last_ends = [-1] * num_bases
-    max_gaps = [0] * num_bases
+    worst_gaps = [0] * num_bases
     cursor = 0
     for start, end, vcpu in zip(starts, ends, ids):
         if start < cursor:
@@ -454,23 +453,25 @@ def _record(
         seg_ids.append(vcpu)
         if last_ends[vcpu] < 0:
             first_starts[vcpu] = start
-        elif start - last_ends[vcpu] > max_gaps[vcpu]:
-            max_gaps[vcpu] = start - last_ends[vcpu]
+        elif start - last_ends[vcpu] > worst_gaps[vcpu]:
+            worst_gaps[vcpu] = start - last_ends[vcpu]
         allocated[vcpu] += end - start
         last_ends[vcpu] = end
         cursor = end
     if cursor < horizon:
         seg_ends.append(horizon)
         seg_ids.append(-1)
+    for vcpu, last_end in enumerate(last_ends):
+        wrap = 2 * horizon if last_end < 0 else first_starts[vcpu] + horizon - last_end
+        if wrap > worst_gaps[vcpu]:
+            worst_gaps[vcpu] = wrap
     return CoreRecord(
         length_ns=horizon,
         segments=Segments.from_columns(seg_ends, seg_ids),
         coalesce=coalesce,
         peephole=peephole,
-        first_starts=first_starts,
         allocated=allocated,
-        last_ends=last_ends,
-        max_gaps=max_gaps,
+        worst_gaps=worst_gaps,
     )
 
 

@@ -9,7 +9,7 @@ consumes, plus the service-tier / fair-share helpers the paper sketches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NewType, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -64,6 +64,9 @@ class VCpuSpec:
             False it is eligible for spare cycles via the second-level
             scheduler (Sec. 4).
         vm: Name of the owning VM (defaults to the vCPU name's prefix).
+        needs_dedicated_core: A fully reserved vCPU (U = 1) is pinned to
+            its own pCPU.  Derived at construction; equality, hashing and
+            ``repr`` ignore it.
     """
 
     name: str
@@ -71,6 +74,7 @@ class VCpuSpec:
     latency_ns: int
     capped: bool = False
     vm: Optional[str] = None
+    needs_dedicated_core: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -85,6 +89,7 @@ class VCpuSpec:
             )
         if self.vm is None:
             object.__setattr__(self, "vm", self.name.split(".")[0])
+        object.__setattr__(self, "needs_dedicated_core", self.utilization >= 1.0)
 
     def __hash__(self) -> int:
         # Specs are hashed constantly (planner memo keys, task caches);
@@ -98,10 +103,12 @@ class VCpuSpec:
             object.__setattr__(self, "_hash", cached)
         return cached
 
-    @property
-    def needs_dedicated_core(self) -> bool:
-        """A fully reserved vCPU (U = 1) is pinned to its own pCPU."""
-        return self.utilization >= 1.0
+    def __getstate__(self) -> Dict[str, object]:
+        # String hashes differ between interpreters (PYTHONHASHSEED), so
+        # the pinned hash stays behind; the copy derives its own.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ from repro.core.periods import HYPERPERIOD_NS, MIN_PERIOD_NS
 from repro.core.postprocess import DEFAULT_COALESCE_NS, CoalesceReport
 from repro.core.serialize import table_size_bytes
 from repro.core.splitting import DEFAULT_MIN_PIECE_NS, semi_partition
-from repro.core.table import CoreTable, SystemTable, home_cores_by_first_start
+from repro.core.table import CoreTable, SystemTable
 from repro.core.tasks import PeriodicTask, vcpu_to_task
 from repro.errors import AdmissionError, PlanningError
 from repro.topology import Topology, uniform
@@ -405,9 +405,12 @@ class Planner:
             part = core.record.peephole
             if peephole_report is not None and part is not None:
                 peephole_report.merge(part)
-        system, info = self._assemble(cores)
+        system = SystemTable(
+            length_ns=horizon,
+            cores={cpu: core.table for cpu, core in cores.items()},
+        )
         self._validate_assembled(system)
-        self._check_guarantees(system.cores, vcpus, task_index, info)
+        self._check_guarantees(system, cores, vcpus, task_index)
 
         stats = PlanStats(
             method=method,
@@ -676,43 +679,6 @@ class Planner:
     # Assembly and audit
     # ------------------------------------------------------------------
 
-    def _assemble(
-        self, cores: Dict[int, BoundCore]
-    ) -> Tuple[SystemTable, Dict[str, List[Tuple[int, CoreRecord, int]]]]:
-        """Build the system table with a precomputed vCPU index.
-
-        Walking each record's served vCPUs reproduces exactly what
-        ``SystemTable._rebuild_index`` would derive from the tables —
-        names in first-discovery order over sorted cores, home cores in
-        first-allocation time order — with the first starts the record
-        already holds.  Also returns, per vCPU, its ``(core, record,
-        base index)`` entries for the audit stages.
-        """
-        names: List[str] = []
-        homes: Dict[str, List[Tuple[int, int]]] = {}
-        info: Dict[str, List[Tuple[int, CoreRecord, int]]] = {}
-        for cpu in sorted(cores):
-            core = cores[cpu]
-            record = core.record
-            core_names = core.names
-            first_starts = record.first_starts
-            for base in record.segments.served:
-                name = core_names[base]
-                entries = homes.get(name)
-                if entries is None:
-                    names.append(name)
-                    homes[name] = entries = []
-                    info[name] = []
-                entries.append((first_starts[base], cpu))
-                info[name].append((cpu, record, base))
-        system = SystemTable(
-            length_ns=self.hyperperiod_ns,
-            cores={cpu: core.table for cpu, core in cores.items()},
-            vcpu_names=names,
-            home_cores=home_cores_by_first_start(homes),
-        )
-        return system, info
-
     def _validate_assembled(self, system: SystemTable) -> None:
         """No-parallel-service check (:meth:`SystemTable.parallel_service`).
 
@@ -730,57 +696,59 @@ class Planner:
 
     def _check_guarantees(
         self,
-        core_tables: Dict[int, CoreTable],
+        system: SystemTable,
+        cores: Dict[int, BoundCore],
         vcpus: Sequence[VCpuSpec],
         tasks: Dict[str, PeriodicTask],
-        info: Dict[str, List[Tuple[int, CoreRecord, int]]],
     ) -> None:
         """Final guarantee audit: utilization and blackout per vCPU.
 
         Coalescing may legitimately move up to the threshold per
         allocation boundary, so both checks carry a matching tolerance.
-        Single-home vCPUs (virtually all of them) are audited from the
-        per-core record aggregates without touching any allocation;
-        only split vCPUs pay an interval merge across their home cores.
+        Single-home vCPUs (virtually all of them) are audited from their
+        core record's aggregates, its service and worst gap, without
+        touching any allocation; only split vCPUs pay an interval merge
+        across their home cores.
         """
         tolerance = 2 * self.coalesce_threshold_ns
         horizon = self.hyperperiod_ns
+        homes = system.home_cores
         for vcpu in vcpus:
-            task = tasks[vcpu.name]
-            entries = info.get(vcpu.name)
-            allocated = 0
-            if entries:
-                for _cpu, record, base in entries:
-                    allocated += record.allocated[base]
+            name = vcpu.name
+            task = tasks[name]
+            home = homes.get(name)
+            if home is None:
+                allocated = 0
+                blackout = 2 * horizon
+            elif len(home) == 1:
+                core = cores[home[0]]
+                base = core.names.index(name)
+                allocated = core.record.allocated[base]
+                blackout = core.record.worst_gaps[base]
+            else:
+                allocated = 0
+                for cpu in home:
+                    core = cores[cpu]
+                    allocated += core.record.allocated[core.names.index(name)]
+                blackout = _merged_blackout(system.cores, home, name, horizon)
             promised = task.cost * (horizon // task.period)
             if allocated + tolerance < promised:
                 raise PlanningError(
-                    f"{vcpu.name}: table allocates {allocated} ns/cycle, "
+                    f"{name}: table allocates {allocated} ns/cycle, "
                     f"promised {promised}"
                 )
             if vcpu.needs_dedicated_core:
                 continue
-            if not entries:
-                blackout = 2 * horizon
-            elif len(entries) == 1:
-                _cpu, record, base = entries[0]
-                wrap = record.first_starts[base] + horizon - record.last_ends[base]
-                gap = record.max_gaps[base]
-                blackout = gap if gap > wrap else wrap
-            else:
-                blackout = _merged_blackout(
-                    core_tables, entries, vcpu.name, horizon
-                )
             if blackout > vcpu.latency_ns + tolerance:
                 raise PlanningError(
-                    f"{vcpu.name}: worst-case blackout {blackout} ns exceeds "
+                    f"{name}: worst-case blackout {blackout} ns exceeds "
                     f"latency goal {vcpu.latency_ns} ns"
                 )
 
 
 def _merged_blackout(
     core_tables: Dict[int, CoreTable],
-    entries: List[Tuple[int, CoreRecord, int]],
+    home: List[int],
     name: str,
     horizon: int,
 ) -> int:
@@ -790,7 +758,7 @@ def _merged_blackout(
     :meth:`SystemTable.max_blackout_ns`, over just this vCPU's cores.
     """
     intervals: List[Tuple[int, int]] = []
-    for cpu, _record, _base in entries:
+    for cpu in home:
         intervals.extend(core_tables[cpu].service_intervals(name))
     intervals.sort()
     first_start = intervals[0][0]

@@ -56,7 +56,7 @@ from repro.lint.patterns import (
 )
 
 #: Bump when the summary schema changes so stale caches self-invalidate.
-SUMMARY_VERSION = 5
+SUMMARY_VERSION = 6
 
 #: Calls that make an integer out of anything (unit-boundary casts).
 _INT_CASTS = {"int", "round", "floor", "ceil"}
@@ -533,7 +533,10 @@ class _ModuleWalk:
     * ``det-unordered-iter`` reads a scope's statements in source
       order, tracking which names are bound to sets; the walk records
       each scope's set bindings and the expressions it iterates, keyed
-      by position, and replays them in that order;
+      by position, and replays them in that order.  A binding is keyed
+      by where its statement ends, after the value it reads; a class
+      body is a scope of its own, which starts from the set names bound
+      where the class statement stands;
     * ``err-registry-rollback`` reads a function's registry mutations
       and fallible calls in line order, against the spans of the
       ``try`` bodies whose handlers re-raise.  A nested def's events
@@ -547,8 +550,9 @@ class _ModuleWalk:
         #: Line spans of ``if TYPE_CHECKING:`` bodies.
         self.guarded: List[Tuple[int, int]] = []
         #: Per scope: ``(position, rank, names, shape, node)`` for each
-        #: set binding (rank 0; ``names`` bound to ``shape``) and each
-        #: iterated expression that may be a set (rank 1).
+        #: set binding (rank 0; ``names`` bound to ``shape``), each
+        #: iterated expression that may be a set (rank 1) and each class
+        #: body (rank 2; ``node`` is the body's scope).
         self.scopes: List[List[tuple]] = [[]]
         #: Per def, in walk order: its ``(line, kind, name, node)``
         #: registry events and its re-raising ``try`` body spans.
@@ -610,6 +614,12 @@ class _ModuleWalk:
                             self.summary.float_params.append([node.name, name])
                 end = (node.end_lineno or node.lineno, node.end_col_offset or 0)
                 decorators = (hot, defs, scope, end)
+                if scope >= 0:
+                    self.scopes.append([])
+                    own = len(self.scopes) - 1
+                    start = (node.lineno, node.col_offset)
+                    self.scopes[scope].append((start, 2, (), (False, ()), own))
+                    body = (hot, defs, own, None)
             elif isinstance(node, ast.Lambda):
                 self.sites.extend(_site("closure", "<lambda>", node, fn) for fn in hot)
                 body = rest = (hot, defs, -1, anchor)
@@ -740,7 +750,8 @@ class _ModuleWalk:
     def _bind(self, scope: int, node: ast.Assign) -> None:
         names = tuple(t.id for t in node.targets if isinstance(t, ast.Name))
         if names:
-            position = (node.lineno, node.col_offset)
+            # Keyed by its end: ``s = list(s)`` reads ``s`` before rebinding it.
+            position = (node.end_lineno or node.lineno, node.end_col_offset or 0)
             shape = _set_shape(node.value)
             self.scopes[scope].append((position, 0, names, shape, node))
 
@@ -759,11 +770,13 @@ class _ModuleWalk:
     def _set_iteration_sites(self) -> None:
         """Replay each scope's bindings and iterations in source order.
 
-        A statement is read before the expressions inside it, so at one
-        position a binding comes first.
+        At one position a binding comes first.  A class body's scope
+        comes after the scope around it (scopes are numbered as the walk
+        meets them), which hands it the set names bound at the class.
         """
-        for events in self.scopes:
-            set_names: Set[str] = set()
+        inherited: Dict[int, Set[str]] = {}
+        for index, events in enumerate(self.scopes):
+            set_names = inherited.pop(index, set())
             for _, rank, names, shape, node in sorted(events, key=itemgetter(0, 1)):
                 if rank == 0:
                     for name in names:
@@ -771,6 +784,8 @@ class _ModuleWalk:
                             set_names.add(name)
                         else:
                             set_names.discard(name)
+                elif rank == 2:
+                    inherited[node] = set(set_names)
                 elif _is_set(shape, set_names):
                     self.sites.append(_site("set-iteration", "", node))
 

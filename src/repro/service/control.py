@@ -30,6 +30,7 @@ requests complete and their sojourn is measured.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union, TYPE_CHECKING
@@ -40,8 +41,9 @@ from repro.core.params import (
     SEC,
     Nanoseconds,
     ServiceTier,
+    VMSpec,
+    make_vm,
     seconds_to_ns,
-    vms_from_tiers,
 )
 from repro.crashpoints import (
     CRASH_SERVICE_ADMIT,
@@ -147,6 +149,14 @@ class SchedulerService:
             history requires going through :meth:`recover` — silently
             continuing a fresh service on an old journal would corrupt
             the sequence space.
+
+    The accepted census is kept per request, in the three forms its
+    readers use: each tenant's :class:`~repro.core.params.VMSpec` (a
+    flush plans them in name order, building none), the sorted tenant
+    list (the churn generator's sampling frame) and each tenant's
+    utilization in admission order (what admission sums, in the order
+    :attr:`accepted` lists them).  :meth:`submit` updates all three with
+    the request, and a rolled-back batch rebuilds them.
     """
 
     def __init__(
@@ -183,6 +193,12 @@ class SchedulerService:
         #: effects) — what admission projects against and what the
         #: churn generator sees.
         self.accepted: Dict[str, str] = {}
+        #: The accepted census as kept per request (see the class
+        #: docstring): specs by tenant, the sorted tenants, and the
+        #: utilizations in :attr:`accepted`'s order.
+        self._specs: Dict[str, VMSpec] = {}
+        self._tenants: List[str] = []
+        self._utilizations: Dict[str, float] = {}
         #: Census the last committed table serves — what queries read.
         self.committed: Dict[str, str] = {}
         self.committed_plan: Optional["PlanResult"] = None
@@ -237,8 +253,10 @@ class SchedulerService:
     # ------------------------------------------------------------------
 
     def tenant_names(self) -> List[str]:
-        """Accepted tenants, sorted (the deterministic sampling frame)."""
-        return sorted(self.accepted)
+        """Accepted tenants, sorted (the deterministic sampling frame).
+
+        The service's own list, kept per request: do not mutate it."""
+        return self._tenants
 
     @property
     def population(self) -> int:
@@ -250,10 +268,9 @@ class SchedulerService:
         return self.config.tiers[name]
 
     def _accepted_utilization(self) -> float:
-        return sum(
-            self.config.tiers[tier].utilization
-            for tier in self.accepted.values()
-        )
+        # The tiers' utilizations, summed in the order ``accepted`` lists
+        # the tenants: a float sum rounds by its order.
+        return sum(self._utilizations.values())
 
     # ------------------------------------------------------------------
     # The request path
@@ -290,6 +307,7 @@ class SchedulerService:
             self.rejected[reason] += 1
             return reason
         self._apply(self.accepted, request)
+        self._keep(request.tenant)
         self.queue.append(request)
         self.peak_queue = max(self.peak_queue, len(self.queue))
         self.peak_population = max(self.peak_population, self.population)
@@ -356,6 +374,23 @@ class SchedulerService:
         elif request.kind == KIND_TEARDOWN:
             census.pop(request.tenant, None)
 
+    def _keep(self, tenant: str) -> None:
+        """Bring the kept census forms in line with :attr:`accepted`'s
+        entry for ``tenant``."""
+        tier_name = self.accepted.get(tenant)
+        if tier_name is None:
+            del self._specs[tenant]
+            del self._utilizations[tenant]
+            del self._tenants[bisect_left(self._tenants, tenant)]
+            return
+        tier = self.config.tiers[tier_name]
+        if tenant not in self._specs:
+            insort(self._tenants, tenant)
+        self._specs[tenant] = make_vm(
+            tenant, tier.utilization, tier.latency_ns, capped=tier.capped
+        )
+        self._utilizations[tenant] = tier.utilization
+
     # ------------------------------------------------------------------
     # Batched replanning
     # ------------------------------------------------------------------
@@ -389,9 +424,7 @@ class SchedulerService:
         # it is already journaled, so replay rebuilds and re-flushes it.
         crashpoint(CRASH_SERVICE_FLUSH_PRE_PUSH)
         if census:
-            specs = vms_from_tiers(
-                sorted(census.items()), tiers=self.config.tiers
-            )
+            specs = [self._specs[tenant] for tenant in self._tenants]
             try:
                 self.daemon.replan(
                     specs, reason=f"batch of {len(batch)} @{self.engine.now}"
@@ -550,11 +583,16 @@ class SchedulerService:
 
     def _rollback(self, batch: List[TenantRequest]) -> None:
         """Recompute the accepted census as committed + queued effects
-        (the failed batch's effects drop out)."""
+        (the failed batch's effects drop out), and its kept forms."""
         census = dict(self.committed)
         for request in self.queue:
             self._apply(census, request)
         self.accepted = census
+        self._specs = {}
+        self._tenants = []
+        self._utilizations = {}
+        for tenant in census:
+            self._keep(tenant)
 
 
 def run_service(

@@ -97,8 +97,8 @@ def finish(table, threshold_ns):
 
 def aggregates(table):
     """Per-vCPU audit aggregates by one scan of the finished allocations:
-    first start, total service, last end and largest internal gap, in
-    first-allocation order."""
+    first start, total service, and the worst service gap with the
+    wrap-around gap included, in first-allocation order."""
     result = {}
     for alloc in table.allocations:
         entry = result.get(alloc.vcpu)
@@ -108,7 +108,10 @@ def aggregates(table):
             entry[3] = max(entry[3], alloc.start - entry[2])
             entry[1] += alloc.length
             entry[2] = alloc.end
-    return [(name, *values) for name, values in result.items()]
+    return [
+        (name, first, total, max(gap, first + table.length_ns - last))
+        for name, (first, total, last, gap) in result.items()
+    ]
 
 
 def assert_matches(record, tasks, reference, cpu=0):
@@ -128,16 +131,17 @@ def assert_matches(record, tasks, reference, cpu=0):
     assert bound.table.min_allocation_ns() == min(
         (a.length for a in table.allocations), default=None
     )
+    served = record.segments.served
     assert [
-        (
-            names[base],
-            record.first_starts[base],
-            record.allocated[base],
-            record.last_ends[base],
-            record.max_gaps[base],
-        )
-        for base in record.segments.served
+        (names[base], start, record.allocated[base], record.worst_gaps[base])
+        for base, start in served.items()
     ] == aggregates(table)
+    # A base the core never serves: no service, a gap of two cycles.
+    assert all(
+        (record.allocated[base], record.worst_gaps[base]) == (0, 2 * table.length_ns)
+        for base in range(len(names))
+        if base not in served
+    )
 
 
 @settings(max_examples=400, deadline=None)

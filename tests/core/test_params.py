@@ -1,6 +1,16 @@
 """Tests for VM/vCPU reservation parameter types and provisioning helpers."""
 
+import dataclasses
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.params import (
     DEFAULT_TIERS,
@@ -108,3 +118,90 @@ class TestFlatten:
         vm_b = VMSpec("b", (VCpuSpec("shared", 0.1, MS), VCpuSpec("x", 0.1, MS)))
         with pytest.raises(ConfigurationError, match="duplicate vCPU name 'shared'"):
             flatten_vcpus([vm_a, vm_b])
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: Pickles a hashed spec to stdout (run under one hash seed).
+DUMP = """
+import pickle, sys
+from repro.core.params import VCpuSpec
+spec = VCpuSpec("vm0.vcpu0", 1.0, 1_000_000)
+hash(spec)
+sys.stdout.buffer.write(pickle.dumps(spec))
+"""
+
+#: Loads that pickle and looks it up among fresh specs (another seed).
+LOAD = """
+import json, pickle, sys
+from repro.core.params import VCpuSpec
+spec = pickle.loads(sys.stdin.buffer.read())
+fresh = VCpuSpec("vm0.vcpu0", 1.0, 1_000_000)
+print(json.dumps([
+    spec == fresh,
+    hash(spec) == hash(fresh),
+    spec in {fresh},
+    {fresh: 1}.get(spec),
+    spec.needs_dedicated_core,
+]))
+"""
+
+
+class TestVCpuSpecDerivedFields:
+    """``needs_dedicated_core`` is derived once, at construction, and is
+    invisible to equality, hashing and ``repr``; the pinned hash never
+    travels in a pickle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        utilization=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        other=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    )
+    def test_flag_follows_utilization(self, utilization, other):
+        spec = VCpuSpec("vm0.vcpu0", utilization, MS)
+        assert spec.needs_dedicated_core == (utilization >= 1.0)
+        replaced = dataclasses.replace(spec, utilization=other)
+        assert replaced.needs_dedicated_core == (other >= 1.0)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and hash(copy) == hash(spec)
+        assert copy.needs_dedicated_core == spec.needs_dedicated_core
+
+    def test_equality_hash_and_repr_ignore_the_flag(self):
+        spec = VCpuSpec("vm0.vcpu0", 0.5, MS)
+        flipped = VCpuSpec("vm0.vcpu0", 0.5, MS)
+        object.__setattr__(flipped, "needs_dedicated_core", True)
+        assert flipped == spec
+        assert hash(flipped) == hash(spec)
+        assert repr(flipped) == repr(spec)
+        assert "needs_dedicated_core" not in repr(spec)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.needs_dedicated_core = True  # type: ignore[misc]
+
+    def test_replace_rejects_the_derived_flag(self):
+        with pytest.raises(ValueError):
+            dataclasses.replace(VCpuSpec("v", 0.5, MS), needs_dedicated_core=True)
+
+    def test_pickle_leaves_the_pinned_hash_behind(self):
+        spec = VCpuSpec("vm0.vcpu0", 0.5, MS)
+        hash(spec)
+        assert "_hash" in spec.__dict__
+        assert "_hash" not in pickle.loads(pickle.dumps(spec)).__dict__
+
+    def test_pickled_spec_is_found_under_another_hash_seed(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        dumped = subprocess.run(
+            [sys.executable, "-c", DUMP],
+            env=dict(env, PYTHONHASHSEED="1"),
+            capture_output=True,
+            timeout=120,
+        )
+        assert dumped.returncode == 0, dumped.stderr
+        loaded = subprocess.run(
+            [sys.executable, "-c", LOAD],
+            env=dict(env, PYTHONHASHSEED="2"),
+            input=dumped.stdout,
+            capture_output=True,
+            timeout=120,
+        )
+        assert loaded.returncode == 0, loaded.stderr
+        assert json.loads(loaded.stdout) == [True, True, True, 1, True]

@@ -157,9 +157,9 @@ class TestClusteredPlans:
 
 
 class TestAssembledIndex:
-    """``Planner._assemble`` builds the vCPU index from its records; it
-    must equal what ``SystemTable._rebuild_index`` derives from the same
-    cores, including the home-core order of split vCPUs."""
+    """A plan's vCPU index must equal what a ``SystemTable`` built from
+    the same cores derives, including the home-core order of split
+    vCPUs."""
 
     @pytest.mark.parametrize(
         "cores, census, method",
@@ -176,6 +176,63 @@ class TestAssembledIndex:
         assert any(table.is_split(name) for name in table.vcpu_names)
         assert table.vcpu_names == derived.vcpu_names
         assert table.home_cores == derived.home_cores
+
+
+class TestRecordGaps:
+    """The audit reads a single-home vCPU's worst gap from its core
+    record, derived once when the record was materialized: it must equal
+    the table's blackout, and a gap past the latency goal still fails
+    the plan with the audit's message."""
+
+    @pytest.mark.parametrize(
+        "cores, census, knobs",
+        [
+            (4, [(0.25, 20)] * 8 + [(0.3, 5), (0.125, 100), (0.5, 10)], {}),
+            (2, [(0.6, 100)] * 3, {}),
+            (2, [(0.3, 5), (0.2, 3), (0.4, 11)] * 2, {"peephole": True}),
+            (2, [(0.3, 5), (0.2, 3), (0.4, 11)] * 2, {"coalesce_threshold_ns": 10**5}),
+        ],
+    )
+    def test_record_gap_equals_table_blackout(self, cores, census, knobs):
+        planner = Planner(uniform(cores), **knobs)
+        result = planner.plan(census_of(census))
+        table = result.table
+        checked = 0
+        for cpu, tasks in result.assignment.items():
+            names, _shape, record = edfcore.lookup_core(
+                tasks,
+                planner.hyperperiod_ns,
+                planner.coalesce_threshold_ns,
+                planner.peephole,
+            )
+            for base, name in enumerate(names):
+                if table.home_cores.get(name) == [cpu]:
+                    assert record.worst_gaps[base] == table.max_blackout_ns(name)
+                    checked += 1
+        single = [name for name in table.vcpu_names if not table.is_split(name)]
+        assert checked == len(single)
+
+    def test_gap_past_the_goal_fails_the_plan(self):
+        census = census_of([(0.25, 20)] * 4)
+        planner = Planner(uniform(1))
+        tasks = planner.plan(census).assignment[0]
+        names, _shape, record = edfcore.lookup_core(
+            tasks, planner.hyperperiod_ns, planner.coalesce_threshold_ns, False
+        )
+        base = names.index("vm2.vcpu0")
+        gap = 20 * MS + 2 * planner.coalesce_threshold_ns + 1
+        saved, record.worst_gaps[base] = record.worst_gaps[base], gap
+        try:
+            # A fresh planner (no whole-plan memo) binds the cached record.
+            with pytest.raises(PlanningError) as raised:
+                Planner(uniform(1)).plan(census)
+        finally:
+            record.worst_gaps[base] = saved
+            edfcore.clear_shape_cache()
+        assert str(raised.value) == (
+            f"vm2.vcpu0: worst-case blackout {gap} ns exceeds latency goal "
+            f"{20 * MS} ns"
+        )
 
 
 class TestDedicatedCores:

@@ -75,6 +75,34 @@ class TestUnorderedIteration:
         report = lint_source(source, module="repro.schedulers.m")
         assert report.findings == []
 
+    def test_rebinding_reads_the_set_before_rebinding(self):
+        # The value is read while ``cores`` is still the set.
+        source = "cores = set(xs)\ncores = list(cores)\n"
+        report = lint_source(source, module="repro.sim.m")
+        assert [(f.rule_id, f.line) for f in report.findings] == [
+            ("det-unordered-iter", 2)
+        ]
+
+    def test_class_attribute_does_not_unmark_a_module_set(self):
+        source = (
+            "s = set()\nclass A:\n    s = [1]\nfor x in s:\n    print(x)\n"
+        )
+        report = lint_source(source, module="repro.sim.m")
+        assert [(f.rule_id, f.line) for f in report.findings] == [
+            ("det-unordered-iter", 4)
+        ]
+
+    def test_class_body_scope(self):
+        # A class body sees the module's sets; its own bindings stay in it.
+        source = (
+            "s = set()\nt = [1]\nclass A:\n    for x in s:\n        print(x)\n"
+            "    t = set()\nfor y in t:\n    print(y)\n"
+        )
+        report = lint_source(source, module="repro.sim.m")
+        assert [(f.rule_id, f.line) for f in report.findings] == [
+            ("det-unordered-iter", 4)
+        ]
+
     def test_sorted_iteration_ok(self):
         report = lint_source(
             "for c in sorted({3, 1}):\n    print(c)\n", module="repro.sim.m"
